@@ -17,12 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (
-    LONG_MIN,
-    FixedLongMap,
-    seek_entry_or_open_traced,
-    seek_entry_traced,
-)
+from .core import LONG_MIN, FixedLongMap, _probe
 from .growable import GrowableLongMap
 
 
@@ -173,18 +168,8 @@ def _measure_level(
     probes_total = 0
     measured = 0
     keys_arr, msk = inner.keys, inner.mask
-    for k in get_keys:
-        _, iters = seek_entry_traced(k, keys_arr, msk)
-        histogram[iters + 1] = histogram.get(iters + 1, 0) + 1
-        probes_total += iters + 1
-        measured += 1
-    for k in update_keys:
-        _, iters = seek_entry_or_open_traced(k, keys_arr, msk)
-        histogram[iters + 1] = histogram.get(iters + 1, 0) + 1
-        probes_total += iters + 1
-        measured += 1
-    for k, _ in remove_keys:
-        _, iters = seek_entry_traced(k, keys_arr, msk)
+    for k in get_keys + update_keys + [k for k, _ in remove_keys]:
+        _, _, iters = _probe(k, keys_arr, msk)
         histogram[iters + 1] = histogram.get(iters + 1, 0) + 1
         probes_total += iters + 1
         measured += 1

@@ -8,7 +8,7 @@ tombstone (a slot whose key was removed). Mappings for the keys 0 and
 LONG_MIN therefore live in side fields (``extra_keys`` bits 0/1 plus
 ``zero_value`` / ``min_value``).
 
-Every probe loop gives up after ``MAX_PROBES`` slot inspections and reports
+The probe loop gives up after ``MAX_PROBES`` slot inspections and reports
 ``Undefined``; ``update`` surfaces this as a ``False`` return instead of
 looping forever on a map with no reachable free slot.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 LONG_MIN = -(1 << 63)
 LONG_MAX = (1 << 63) - 1
@@ -47,13 +47,6 @@ def is_valid_key(key: int) -> bool:
     return key != 0 and key != LONG_MIN
 
 
-def _is_zero_or_min(key: int) -> bool:
-    # Wrapping-negation test: 0 and LONG_MIN are the only 64-bit values equal
-    # to their own (wrapped) negation. Python negation does not wrap, so
-    # compare the 64-bit patterns explicitly.
-    return ((-key) & _U64) == (key & _U64)
-
-
 def to_index(key: int, mask: int) -> int:
     """Hash a 64-bit key to a slot index in [0, mask].
 
@@ -71,8 +64,41 @@ def next_probe(e: int, x: int, mask: int) -> int:
     return (e + 2 * (x + 1) * x - 3) & mask
 
 
+# Probe outcomes as small ints, the kinds ``_probe`` returns.
+FOUND, MISSING_ZERO, MISSING_VACANT, UNDEFINED = range(4)
+
+
+def _probe(k: int, keys, mask: int) -> tuple[int, int, int]:
+    """The probe loop: ``(kind, index, iterations)`` for key ``k``.
+
+    Walks the probe sequence from ``to_index(k, mask)`` until a slot holds
+    ``k`` (FOUND at it) or 0. A 0 slot yields MISSING_ZERO at that slot when
+    no tombstone was crossed, else MISSING_VACANT at the first tombstone, the
+    slot an insert of ``k`` reuses. After ``MAX_PROBES`` iterations without
+    either it yields UNDEFINED with index -1. The paper's two seek phases
+    (up to the first tombstone, then past it) share this one loop and its
+    iteration budget.
+    """
+    e = to_index(k, mask)
+    vacant = -1
+    x = 0
+    while x < MAX_PROBES:
+        q = keys[e]
+        if q == k:
+            return FOUND, e, x
+        if not q:  # a never-used slot; cheaper than q == 0 on 64-bit values
+            if vacant < 0:
+                return MISSING_ZERO, e, x
+            return MISSING_VACANT, vacant, x
+        if vacant < 0 and q == LONG_MIN:
+            vacant = e
+        x += 1
+        e = (e + 2 * (x + 1) * x - 3) & mask
+    return UNDEFINED, -1, x
+
+
 class SeekResult:
-    """Outcome of probing for a key."""
+    """Outcome of probing for a key, as the spec states it."""
 
     __slots__ = ()
 
@@ -97,75 +123,14 @@ class Undefined(SeekResult):
     pass
 
 
-@dataclass(frozen=True)
-class Intermediate(SeekResult):
-    """Internal handoff between the two probe phases; never escapes the seeks."""
-
-    undefined: bool
-    index: int
-    x: int
-
-
-UNDEFINED = Undefined()
-
-# Optional instrumentation hook: called as hook(result, iterations) by
-# seek_entry / seek_entry_or_open. Must stay None in production paths.
-probe_audit: Optional[Callable[[SeekResult, int], None]] = None
-
-
-def seek_key_or_zero_or_min(x: int, e: int, k: int, keys, mask: int) -> Intermediate:
-    """Probe from slot ``e`` until a slot holds ``k``, 0 or LONG_MIN.
-
-    Returns Intermediate(False, stop_index, stop_x) for a stopping slot, or
-    Intermediate(True, e, x) once ``MAX_PROBES`` iterations elapse.
-    """
-    while x < MAX_PROBES:
-        q = keys[e]
-        if q == k or q == 0 or q == LONG_MIN:
-            return Intermediate(False, e, x)
-        x += 1
-        e = (e + 2 * (x + 1) * x - 3) & mask
-    return Intermediate(True, e, x)
-
-
-def _seek_vacant_traced(
-    x: int, e: int, vacant: int, k: int, keys, mask: int
-) -> tuple[SeekResult, int]:
-    while x < MAX_PROBES:
-        q = keys[e]
-        if q == k:
-            return Found(e), x
-        if q == 0:
-            return MissingVacant(vacant), x
-        x += 1
-        e = (e + 2 * (x + 1) * x - 3) & mask
-    return UNDEFINED, x
-
-
-def seek_key_or_zero_return_vacant(
-    x: int, e: int, vacant: int, k: int, keys, mask: int
-) -> SeekResult:
-    """Second probe phase, entered after a tombstone was seen at ``vacant``.
-
-    Finds ``k`` -> Found(index); finds 0 -> MissingVacant(vacant), i.e. the
-    remembered tombstone is the slot to reuse; probe budget exhausted ->
-    Undefined.
-    """
-    return _seek_vacant_traced(x, e, vacant, k, keys, mask)[0]
-
-
-def _seek_entry_or_open_traced(k: int, keys, mask: int) -> tuple[SeekResult, int]:
-    inter = seek_key_or_zero_or_min(0, to_index(k, mask), k, keys, mask)
-    if inter.undefined:
-        return UNDEFINED, inter.x
-    q = keys[inter.index]
-    if q == k:
-        return Found(inter.index), inter.x
-    if q == 0:
-        return MissingZero(inter.index), inter.x
-    # Tombstone: remember it and keep probing for k or a 0 slot, reusing the
-    # iteration counter so the overall budget stays MAX_PROBES.
-    return _seek_vacant_traced(inter.x, inter.index, inter.index, k, keys, mask)
+def _view(kind: int, index: int) -> SeekResult:
+    if kind == FOUND:
+        return Found(index)
+    if kind == MISSING_ZERO:
+        return MissingZero(index)
+    if kind == MISSING_VACANT:
+        return MissingVacant(index)
+    return Undefined()
 
 
 def seek_entry_or_open(k: int, keys, mask: int) -> SeekResult:
@@ -176,10 +141,8 @@ def seek_entry_or_open(k: int, keys, mask: int) -> SeekResult:
     the first tombstone crossed before the terminating 0. Undefined: probe
     budget exhausted.
     """
-    res, iters = _seek_entry_or_open_traced(k, keys, mask)
-    if probe_audit is not None:
-        probe_audit(res, iters)
-    return res
+    kind, index, _ = _probe(k, keys, mask)
+    return _view(kind, index)
 
 
 def seek_entry(k: int, keys, mask: int) -> SeekResult:
@@ -189,25 +152,8 @@ def seek_entry(k: int, keys, mask: int) -> SeekResult:
     relabeled MissingZero. The index carried by MissingZero may point at a
     tombstone rather than a 0 slot and must not be used by callers.
     """
-    res, iters = _seek_entry_or_open_traced(k, keys, mask)
-    if isinstance(res, MissingVacant):
-        res = MissingZero(res.index)
-    if probe_audit is not None:
-        probe_audit(res, iters)
-    return res
-
-
-def seek_entry_traced(k: int, keys, mask: int) -> tuple[SeekResult, int]:
-    """seek_entry plus the number of probe iterations consumed."""
-    res, iters = _seek_entry_or_open_traced(k, keys, mask)
-    if isinstance(res, MissingVacant):
-        res = MissingZero(res.index)
-    return res, iters
-
-
-def seek_entry_or_open_traced(k: int, keys, mask: int) -> tuple[SeekResult, int]:
-    """seek_entry_or_open plus the number of probe iterations consumed."""
-    return _seek_entry_or_open_traced(k, keys, mask)
+    kind, index, _ = _probe(k, keys, mask)
+    return _view(MISSING_ZERO if kind == MISSING_VACANT else kind, index)
 
 
 class FixedLongMap:
@@ -283,21 +229,19 @@ class FixedLongMap:
         return self.size == 0
 
     def contains(self, key: int) -> bool:
-        if _is_zero_or_min(key):
-            bit = ((key & _U64) >> 63) + 1
-            return (bit & self.extra_keys) != 0
-        return isinstance(seek_entry(key, self.keys, self.mask), Found)
+        if key == 0 or key == LONG_MIN:
+            return (self.extra_keys & (1 if key == 0 else 2)) != 0
+        return _probe(key, self.keys, self.mask)[0] == FOUND
 
     def get(self, key: int) -> int:
         """Value mapped to ``key``, or ``default_entry(key)`` when absent."""
-        if _is_zero_or_min(key):
-            bit = ((key & _U64) >> 63) + 1
-            if (bit & self.extra_keys) == 0:
+        if key == 0 or key == LONG_MIN:
+            if (self.extra_keys & (1 if key == 0 else 2)) == 0:
                 return self.default_entry(key)
             return self.zero_value if key == 0 else self.min_value
-        res = seek_entry(key, self.keys, self.mask)
-        if isinstance(res, Found):
-            return self.values[res.index]
+        kind, i, _ = _probe(key, self.keys, self.mask)
+        if kind == FOUND:
+            return self.values[i]
         return self.default_entry(key)
 
     def update(self, key: int, value: int) -> bool:
@@ -306,7 +250,7 @@ class FixedLongMap:
         Returns False (leaving the map unchanged) only when the probe budget
         runs out without finding the key or a free slot.
         """
-        if _is_zero_or_min(key):
+        if key == 0 or key == LONG_MIN:
             if key == 0:
                 self.zero_value = value
                 self.extra_keys |= 1
@@ -314,17 +258,17 @@ class FixedLongMap:
                 self.min_value = value
                 self.extra_keys |= 2
             return True
-        res = seek_entry_or_open(key, self.keys, self.mask)
-        if isinstance(res, Found):
-            self.values[res.index] = value
-            return True
-        if isinstance(res, (MissingZero, MissingVacant)):
-            i = res.index
-            self.keys[i] = key
+        kind, i, _ = _probe(key, self.keys, self.mask)
+        if kind == FOUND:
             self.values[i] = value
-            self.array_size += 1
             return True
-        return False
+        if kind == UNDEFINED:
+            return False
+        # MISSING_ZERO or MISSING_VACANT: i is the slot to fill.
+        self.keys[i] = key
+        self.values[i] = value
+        self.array_size += 1
+        return True
 
     def remove(self, key: int) -> bool:
         """Remove ``key`` if present; removing an absent key is a no-op.
@@ -332,7 +276,7 @@ class FixedLongMap:
         Returns False only when the probe budget runs out, in which case the
         map is unchanged.
         """
-        if _is_zero_or_min(key):
+        if key == 0 or key == LONG_MIN:
             if key == 0:
                 self.extra_keys &= 2
                 self.zero_value = 0
@@ -340,17 +284,15 @@ class FixedLongMap:
                 self.extra_keys &= 1
                 self.min_value = 0
             return True
-        res = seek_entry(key, self.keys, self.mask)
-        if isinstance(res, Found):
+        kind, i, _ = _probe(key, self.keys, self.mask)
+        if kind == FOUND:
             # Tombstone the slot; the value reset keeps state dumps
             # deterministic but is not observable through the interface.
-            self.keys[res.index] = LONG_MIN
-            self.values[res.index] = 0
+            self.keys[i] = LONG_MIN
+            self.values[i] = 0
             self.array_size -= 1
             return True
-        if isinstance(res, MissingZero):
-            return True
-        return False
+        return kind != UNDEFINED
 
     def __len__(self) -> int:
         return self.size

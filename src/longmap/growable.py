@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .core import MAX_MASK_EXPONENT, FixedLongMap, is_valid_key, zero_entry
-from .conformance import snapshot_model
+from .core import LONG_MIN, MAX_MASK_EXPONENT, FixedLongMap, is_valid_key, zero_entry
 
 
 class GrowableLongMap:
@@ -98,9 +97,16 @@ class GrowableLongMap:
     def _grow(self) -> None:
         old = self.inner
         new = FixedLongMap(2 * (old.mask + 1) - 1, old.default_entry)
-        for k, v in snapshot_model(old).items():
+        # Ascending key order fixes the new layout independently of the old.
+        pairs = sorted(
+            (k, v) for k, v in zip(old.keys, old.values) if k != 0 and k != LONG_MIN
+        )
+        for k, v in pairs:
             if not new.update(k, v):
                 raise AssertionError(f"reinsert of {k} failed while growing")
+        new.extra_keys = old.extra_keys
+        new.zero_value = old.zero_value
+        new.min_value = old.min_value
         if self.grow_listener is not None:
             self.grow_listener(old, new)
         self.inner = new

@@ -11,7 +11,7 @@ behind debug paths in production code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import Found, is_valid_key, seek_entry_or_open, valid_mask
 
@@ -41,34 +41,6 @@ def count_valid_keys(a, start: int, stop: int) -> int:
         if is_valid_key(a[i]):
             n += 1
     return n
-
-
-def array_contains_key(a, k: int, start: int) -> bool:
-    """Linear scan for ``k`` in a[start:]."""
-    for i in range(start, len(a)):
-        if a[i] == k:
-            return True
-    return False
-
-
-def array_scan_for_key(a, k: int, start: int) -> int:
-    """First index >= start holding ``k``; the key must be present."""
-    for i in range(start, len(a)):
-        if a[i] == k:
-            return i
-    raise ValueError(f"key {k} not present from index {start}")
-
-
-def array_no_duplicates(a, start: int = 0, seen: Iterable[int] = ()) -> bool:
-    """True iff no valid key occurs twice in a[start:] together with ``seen``."""
-    acc = set(seen)
-    for i in range(start, len(a)):
-        k = a[i]
-        if is_valid_key(k):
-            if k in acc:
-                return False
-            acc.add(k)
-    return True
 
 
 def all_keys_seekable(keys, mask: int) -> bool:

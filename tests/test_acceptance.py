@@ -16,7 +16,6 @@ from longmap import (
     FixedLongMap,
     GrowableLongMap,
     ListMap,
-    Undefined,
     is_valid_key,
     run_fuzz,
     run_trace,
@@ -43,22 +42,28 @@ def _announce(line):
 
 @contextmanager
 def probe_auditor(stats):
-    def audit(res, iters):
+    """Wrap ``core._probe``, the one probe loop every seek runs through, for
+    the length of the block and tally its outcomes into ``stats``."""
+    probe = core._probe
+
+    def audited(k, keys, mask):
+        result = probe(k, keys, mask)
+        kind, _, iters = result
         stats["seeks"] += 1
         if iters > stats["max_iters"]:
             stats["max_iters"] = iters
-        undefined = isinstance(res, Undefined)
+        undefined = kind == core.UNDEFINED
         if undefined:
             stats["undefined"] += 1
         if undefined != (iters >= MAX_PROBES):
             stats["iff_violations"] += 1
+        return result
 
-    previous = core.probe_audit
-    core.probe_audit = audit
+    core._probe = audited
     try:
         yield stats
     finally:
-        core.probe_audit = previous
+        core._probe = probe
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from longmap import LONG_MIN, GrowableLongMap, run_trace, snapshot_model
+from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model
 from longmap.conformance import FuzzConfig, generate_trace
 from longmap.invariants import all_keys_seekable, check
 
@@ -57,6 +57,40 @@ def test_growth_preserves_model_and_seekability():
         assert before == after
     assert all_keys_seekable(g.inner.keys, g.inner.mask)
     assert check(g.inner).valid
+
+
+def test_growth_lays_out_pairs_in_ascending_key_order():
+    # Growth reinserts the old map's pairs in ascending key order, so the new
+    # arrays match a fresh map filled with the sorted snapshot, whatever
+    # tombstones and sentinels the old map held.
+    rng = random.Random(29)
+    grown = []
+
+    def on_grow(old, new):
+        fresh = FixedLongMap(new.mask, old.default_entry)
+        for k, v in snapshot_model(old).items():
+            assert fresh.update(k, v)
+        assert new.keys == fresh.keys
+        assert new.values == fresh.values
+        assert (new.extra_keys, new.zero_value, new.min_value) == (
+            fresh.extra_keys,
+            fresh.zero_value,
+            fresh.min_value,
+        )
+        grown.append((LONG_MIN in old.keys, old.extra_keys))
+
+    g = GrowableLongMap(1)
+    g.grow_listener = on_grow
+    pool = [rng.getrandbits(64) - (1 << 63) for _ in range(400)] + [0, LONG_MIN]
+    for i in range(3000):
+        k = pool[rng.randrange(len(pool))]
+        if rng.random() < 0.7:
+            g.update(k, i)
+        else:
+            g.remove(k)
+    assert len(grown) == g.growth_count >= 8
+    assert any(tombstones for tombstones, _ in grown)
+    assert any(extra == 3 for _, extra in grown)
 
 
 def test_occupancy_bounded_after_updates():

@@ -2,18 +2,10 @@
 
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 from longmap import LONG_MIN, FixedLongMap, Found, is_valid_key, seek_entry_or_open, to_index
-from longmap.invariants import (
-    all_keys_seekable,
-    array_contains_key,
-    array_no_duplicates,
-    array_scan_for_key,
-    check,
-    count_valid_keys,
-)
+from longmap.invariants import all_keys_seekable, check, count_valid_keys
 
 
 def test_is_valid_key():
@@ -41,23 +33,6 @@ def test_count_is_additive_over_splits(a, data):
     assert count_valid_keys(a, 0, len(a)) == count_valid_keys(a, 0, mid) + count_valid_keys(
         a, mid, len(a)
     )
-
-
-def test_contains_and_scan():
-    assert array_contains_key([0, 7, 0], 7, 0)
-    assert array_scan_for_key([0, 7, 0], 7, 0) == 1
-    assert not array_contains_key([0, 7, 0], 7, 2)
-    assert array_contains_key([7, 0, 7], 7, 1)
-    assert array_scan_for_key([7, 0, 7], 7, 1) == 2
-    with pytest.raises(ValueError):
-        array_scan_for_key([0, 7, 0], 9, 0)
-
-
-def test_no_duplicates():
-    assert array_no_duplicates([0, LONG_MIN, 0])
-    assert not array_no_duplicates([5, 0, 5])
-    assert not array_no_duplicates([5], 0, [5])
-    assert array_no_duplicates([5, 0, 5], 2)
 
 
 def test_all_keys_seekable_vacuous_and_placed():

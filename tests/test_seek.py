@@ -1,4 +1,6 @@
-"""Probe-loop semantics: phase helpers, the two public seeks, the 2048 cap."""
+"""Probe-loop semantics: both seek phases, the two public seeks, the 2048 cap."""
+
+import random
 
 import pytest
 
@@ -6,7 +8,6 @@ from longmap import (
     LONG_MIN,
     MAX_PROBES,
     Found,
-    Intermediate,
     MissingVacant,
     MissingZero,
     Undefined,
@@ -15,12 +16,7 @@ from longmap import (
     seek_entry_or_open,
     to_index,
 )
-from longmap.core import (
-    seek_entry_or_open_traced,
-    seek_entry_traced,
-    seek_key_or_zero_or_min,
-    seek_key_or_zero_return_vacant,
-)
+from longmap.core import FOUND, MISSING_VACANT, MISSING_ZERO, UNDEFINED, _probe
 
 K = 741776177  # arbitrary valid key
 
@@ -28,34 +24,38 @@ K = 741776177  # arbitrary valid key
 def test_phase_one_stops_at_first_zero():
     keys = [0] * 16
     start = to_index(K, 15)
-    assert seek_key_or_zero_or_min(0, start, K, keys, 15) == Intermediate(False, start, 0)
+    assert _probe(K, keys, 15) == (MISSING_ZERO, start, 0)
 
 
 def test_phase_one_stops_at_key():
     keys = [0] * 16
     start = to_index(K, 15)
     keys[start] = K
-    assert seek_key_or_zero_or_min(0, start, K, keys, 15) == Intermediate(False, start, 0)
+    assert _probe(K, keys, 15) == (FOUND, start, 0)
 
 
 def test_phase_one_gives_up_on_single_foreign_slot():
-    res = seek_key_or_zero_or_min(0, 0, K, [K + 1], 0)
-    assert res.undefined and res.x == MAX_PROBES
+    assert _probe(K, [K + 1], 0) == (UNDEFINED, -1, MAX_PROBES)
 
 
 def test_phase_two_immediate_zero_returns_vacant():
-    keys = [LONG_MIN, 0]
-    assert seek_key_or_zero_return_vacant(0, 1, 0, K, keys, 1) == MissingVacant(0)
+    keys = [0] * 16
+    t = to_index(K, 15)
+    keys[t] = LONG_MIN
+    assert _probe(K, keys, 15) == (MISSING_VACANT, t, 1)
 
 
 def test_phase_two_finds_key():
-    keys = [LONG_MIN, K]
-    assert seek_key_or_zero_return_vacant(0, 1, 0, K, keys, 1) == Found(1)
+    keys = [0] * 16
+    t = to_index(K, 15)
+    nxt = next_probe(t, 1, 15)
+    keys[t] = LONG_MIN
+    keys[nxt] = K
+    assert _probe(K, keys, 15) == (FOUND, nxt, 1)
 
 
 def test_phase_two_undefined_without_key_or_zero():
-    keys = [LONG_MIN, K + 1]
-    assert seek_key_or_zero_return_vacant(0, 0, 0, K, keys, 1) == Undefined()
+    assert _probe(K, [LONG_MIN, K + 1], 1) == (UNDEFINED, -1, MAX_PROBES)
 
 
 def test_seek_entry_all_zero():
@@ -107,6 +107,16 @@ def test_both_seeks_undefined_on_full_foreign_map():
     assert seek_entry_or_open(K, keys, 1) == Undefined()
 
 
+def seek_entry_traced(k, keys, mask):
+    """``seek_entry`` together with the iteration count ``_probe`` spent."""
+    return seek_entry(k, keys, mask), _probe(k, keys, mask)[2]
+
+
+def seek_entry_or_open_traced(k, keys, mask):
+    """``seek_entry_or_open`` together with the iteration count ``_probe`` spent."""
+    return seek_entry_or_open(k, keys, mask), _probe(k, keys, mask)[2]
+
+
 @pytest.mark.parametrize("seek", [seek_entry_traced, seek_entry_or_open_traced])
 def test_traced_iterations_hit_bound_exactly_on_undefined(seek):
     res, iters = seek(K, [K + 1], 0)
@@ -127,9 +137,7 @@ def test_traced_iterations_zero_for_home_slot_hit(seek):
 def test_counter_carries_across_phases():
     # One slot holding a tombstone: phase one stops there immediately, phase
     # two re-examines it forever; the shared counter caps the total work.
-    res, iters = seek_entry_or_open_traced(K, [LONG_MIN], 0)
-    assert res == Undefined()
-    assert iters == MAX_PROBES
+    assert _probe(K, [LONG_MIN], 0) == (UNDEFINED, -1, MAX_PROBES)
 
 
 def test_undefined_never_for_reachable_key():
@@ -138,3 +146,75 @@ def test_undefined_never_for_reachable_key():
     keys[t] = K
     for probe in (seek_entry, seek_entry_or_open):
         assert probe(K, keys, 3) == Found(t)
+
+
+def two_phase_probe(k, keys, mask):
+    """The paper's seek, phase by phase, as (kind, index, iterations).
+
+    seekKeyOrZeroOrMin walks from the home slot to the first slot holding
+    ``k``, 0 or LONG_MIN; past a tombstone, seekKeyOrZeroReturnVacant walks
+    on to ``k`` or 0 and remembers the tombstone. Both phases count against
+    one MAX_PROBES budget.
+    """
+    x, e = 0, to_index(k, mask)
+    while x < MAX_PROBES:
+        q = keys[e]
+        if q == k or q == 0 or q == LONG_MIN:
+            break
+        x += 1
+        e = next_probe(e, x, mask)
+    else:
+        return UNDEFINED, -1, x
+    if keys[e] == k:
+        return FOUND, e, x
+    if keys[e] == 0:
+        return MISSING_ZERO, e, x
+    vacant = e
+    while x < MAX_PROBES:
+        q = keys[e]
+        if q == k:
+            return FOUND, e, x
+        if q == 0:
+            return MISSING_VACANT, vacant, x
+        x += 1
+        e = next_probe(e, x, mask)
+    return UNDEFINED, -1, x
+
+
+def test_probe_matches_two_phase_reference():
+    rng = random.Random(2107)
+    kinds = dict.fromkeys((FOUND, MISSING_ZERO, MISSING_VACANT, UNDEFINED), 0)
+    seeks = 0
+    for _ in range(10_000):
+        mask = (1 << rng.randrange(7)) - 1
+        # pool[:-1] may fill slots; pool[-1] never does, so it is a foreign key.
+        pool = [rng.getrandbits(64) - (1 << 63) for _ in range(mask + 2)]
+        p_zero, p_tomb = rng.choice(((0.0, 0.3), (0.1, 0.3), (0.4, 0.2), (0.2, 0.0)))
+        keys = []
+        for _ in range(mask + 1):
+            r = rng.random()
+            if r < p_zero:
+                keys.append(0)
+            elif r < p_zero + p_tomb:
+                keys.append(LONG_MIN)
+            else:
+                keys.append(pool[rng.randrange(mask + 1)])
+        present = [q for q in keys if q != 0 and q != LONG_MIN]
+        probes = [0, LONG_MIN, pool[-1]]
+        if present:
+            probes.append(rng.choice(present))
+        for k in probes:
+            want = two_phase_probe(k, keys, mask)
+            assert _probe(k, keys, mask) == want, (k, keys, mask)
+            kind, i, _ = want
+            kinds[kind] += 1
+            seeks += 1
+            relabeled = {
+                FOUND: Found(i),
+                MISSING_ZERO: MissingZero(i),
+                MISSING_VACANT: MissingZero(i),
+                UNDEFINED: Undefined(),
+            }
+            assert seek_entry(k, keys, mask) == relabeled[kind]
+    assert seeks >= 30_000
+    assert all(n >= 500 for n in kinds.values()), kinds
