@@ -28,11 +28,9 @@ from .conformance import (
     FuzzConfig,
     TraceOp,
     TraceResult,
-    check_equivalence,
     generate_trace,
     run_fuzz,
     run_trace,
-    seek_agreement_property,
     snapshot_model,
 )
 
@@ -55,13 +53,11 @@ __all__ = [
     "TraceOp",
     "TraceResult",
     "check",
-    "check_equivalence",
     "generate_trace",
     "is_valid_key",
     "next_probe",
     "run_fuzz",
     "run_trace",
-    "seek_agreement_property",
     "seek_entry",
     "seek_entry_or_open",
     "snapshot_model",

@@ -1,29 +1,35 @@
 """Differential checking of FixedLongMap against the ListMap model.
 
 Provides model extraction from concrete map state, the array/model
-equivalence conditions, agreement checks between the two seek functions, and
-a deterministic randomized trace runner that executes every operation on both
+equivalence check, agreement checks between the two seek functions, and a
+deterministic randomized trace runner that executes every operation on both
 the array map and the model twin, asserting the public-contract relations
-after each step. A divergence is reported with its seed and op index and a
-minimized reproducing trace.
+and the equivalence after each step. A divergence is reported with its seed
+and op index and a minimized reproducing trace.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import (
     LONG_MIN,
+    MAX_PROBES,
     Found,
     FixedLongMap,
     MissingVacant,
     MissingZero,
     Undefined,
     is_valid_key,
+    live_pairs,
+    next_probe,
     seek_entry,
     seek_entry_or_open,
+    to_index,
     valid_mask,
     zero_entry,
 )
@@ -112,18 +118,26 @@ def snapshot_model(m) -> ListMap:
 def equivalence_violation(m, model: Optional[ListMap] = None) -> Optional[str]:
     """First violated array/model equivalence condition, or None.
 
-    The four conditions tie ``model`` (by default the freshly extracted
-    snapshot) to the arrays: model keys occur in the array, stored keys occur
-    in the model (per index and per key), and the model value of each stored
-    key equals the value array entry.
+    The map's live pairs and sentinel pairs must equal the entries of
+    ``model`` (by default the snapshot). That one comparison implies every
+    equivalence condition and rules out a duplicated key; only on a
+    mismatch is the failed condition worked out and named.
     """
     if model is None:
         model = snapshot_model(m)
-    stored = {k for k in m.keys if is_valid_key(k)}
+    pairs = live_pairs(m)
+    if m.extra_keys & 1:
+        insort(pairs, (0, m.zero_value))
+    if m.extra_keys & 2:
+        pairs.insert(0, (LONG_MIN, m.min_value))
+    if tuple(pairs) == model.items():
+        return None
 
+    stored = set(m.keys)
     for k, _ in model.items():
         if is_valid_key(k) and k not in stored:
             return f"model key {k} does not occur in the key array"
+    first: dict[int, int] = {}
     for i, k in enumerate(m.keys):
         if not is_valid_key(k):
             continue
@@ -134,14 +148,12 @@ def equivalence_violation(m, model: Optional[ListMap] = None) -> Optional[str]:
                 f"value mismatch for key {k} at index {i}: "
                 f"model {model.apply(k)} != array {m.values[i]}"
             )
-    for k in stored:
-        if not model.contains(k):
-            return f"array key {k} is missing from the model"
-    return None
-
-
-def check_equivalence(m, model: Optional[ListMap] = None) -> bool:
-    return equivalence_violation(m, model) is None
+        if first.setdefault(k, i) != i:
+            return f"key {k} duplicated at indexes {first[k]} and {i}"
+    return (
+        f"sentinel fields extra_keys {m.extra_keys}, zero_value {m.zero_value}, "
+        f"min_value {m.min_value} disagree with the model"
+    )
 
 
 def seek_agreement_violation(keys, mask: int, k: int) -> Optional[str]:
@@ -178,10 +190,6 @@ def seek_agreement_violation(keys, mask: int, k: int) -> Optional[str]:
     if not isinstance(b, Found) and k in keys:
         return f"key {k} is present in the array but seek returned {b}"
     return None
-
-
-def seek_agreement_property(keys, mask: int, k: int) -> bool:
-    return seek_agreement_violation(keys, mask, k) is None
 
 
 def generate_trace(cfg: FuzzConfig) -> tuple[int, list]:
@@ -225,21 +233,55 @@ def _default_stride(capacity: int) -> int:
     return 1 if capacity <= 64 else 64
 
 
+@lru_cache(maxsize=None)
+def _probe_offsets(mask: int) -> tuple:
+    """Distinct offsets from the home slot of the first MAX_PROBES probes.
+
+    The probe step does not depend on the home slot, so the slots a key's
+    probe budget covers are ``(to_index(k, mask) + d) & mask`` for these d.
+    """
+    e = 0
+    offsets = [e]
+    for x in range(1, MAX_PROBES):
+        e = next_probe(e, x, mask)
+        offsets.append(e)
+    return tuple(dict.fromkeys(offsets))
+
+
+def _rejection_violation(m, name: str, k: int) -> Optional[str]:
+    """Why ``name(k)`` returning False breaks the contract, or None.
+
+    False is allowed only when the probe budget runs out: no slot among the
+    first MAX_PROBES on k's probe sequence holds k or 0. Sentinel keys never
+    probe, so for them False is never allowed.
+    """
+    if not is_valid_key(k):
+        return f"{name}({k}) returned False for a sentinel key"
+    m = getattr(m, "inner", m)
+    keys, mask = m.keys, m.mask
+    home = to_index(k, mask)
+    for d in _probe_offsets(mask):
+        i = (home + d) & mask
+        if keys[i] == k or not keys[i]:
+            return f"{name}({k}) returned False but slot {i} in its probe budget holds {keys[i]}"
+    return None
+
+
 def _apply_checked(m, model: ListMap, op: TraceOp, default_entry) -> tuple[ListMap, Optional[str]]:
     """Run one op on both twins; return the new model and a divergence message."""
     k = op.key
+    # On a justified False the model is unchanged; the equivalence check
+    # that follows verifies the map was left untouched too.
     if op.kind == "U":
-        ok = m.update(k, op.value)
-        if ok:
-            model = model.insert(k, op.value)
-            if not m.contains(k):
-                return model, f"update({k}) returned True but contains is False"
-        # On False the model is unchanged; snapshot equality below verifies
-        # the map was left untouched.
+        if not m.update(k, op.value):
+            return model, _rejection_violation(m, "update", k)
+        model = model.insert(k, op.value)
+        if not m.contains(k):
+            return model, f"update({k}) returned True but contains is False"
     elif op.kind == "R":
-        ok = m.remove(k)
-        if ok:
-            model = model.remove(k)
+        if not m.remove(k):
+            return model, _rejection_violation(m, "remove", k)
+        model = model.remove(k)
     elif op.kind == "G":
         want = model.get(k)
         if want is None:
@@ -264,25 +306,22 @@ def run_trace(
     default_entry: Callable[[int], int] = zero_entry,
     map_factory: Optional[Callable] = None,
     invariant_stride: Optional[int] = None,
-    equivalence_stride: Optional[int] = None,
     shrink: bool = True,
     seed: Optional[int] = None,
 ) -> TraceResult:
     """Execute ``ops`` differentially against the model, checking contracts.
 
-    After every op the twins must agree observably and snapshot_model must
-    equal the model; the invariant and the equivalence conditions are checked
-    every ``stride`` ops (default 1 for capacity <= 64, else 64). The first
-    divergence stops the run; with ``shrink`` a minimized reproducing trace
-    is attached to the result.
+    After every op the twins must agree observably and the whole array must
+    match the model (``equivalence_violation``); the invariant is checked
+    every ``invariant_stride`` ops (default 1 for capacity <= 64, else 64).
+    The first divergence stops the run; with ``shrink`` a minimized
+    reproducing trace is attached to the result.
     """
     ops = list(ops)
     if map_factory is None:
         map_factory = FixedLongMap
     if invariant_stride is None:
         invariant_stride = _default_stride(mask + 1)
-    if equivalence_stride is None:
-        equivalence_stride = invariant_stride
 
     m = map_factory(mask, default_entry)
     model = ListMap.empty()
@@ -296,19 +335,15 @@ def run_trace(
         model, msg = _apply_checked(m, model, op, default_entry)
         inner = getattr(m, "inner", m)
         if msg is None:
-            snap = snapshot_model(inner)
-            if snap != model:
-                msg = f"snapshot {snap} != model {model}"
+            eq_checks += 1
+            eq = equivalence_violation(inner, model)
+            if eq is not None:
+                msg = f"snapshot != model: {eq}"
         if msg is None and (idx + 1) % invariant_stride == 0:
             inv_checks += 1
             report = check_invariant(inner)
             if not report.valid:
                 msg = f"invariant violated: {report.first_violation}"
-        if msg is None and (idx + 1) % equivalence_stride == 0:
-            eq_checks += 1
-            eq = equivalence_violation(inner, model)
-            if eq is not None:
-                msg = f"equivalence violated: {eq}"
         if msg is not None:
             divergence = Divergence(idx, op, msg)
             break
@@ -321,7 +356,6 @@ def run_trace(
             default_entry=default_entry,
             map_factory=map_factory,
             invariant_stride=invariant_stride,
-            equivalence_stride=equivalence_stride,
         )
 
     return TraceResult(

@@ -58,6 +58,14 @@ def to_index(key: int, mask: int) -> int:
     return (x ^ (x >> 13)) & mask
 
 
+def live_pairs(m) -> list:
+    """Ascending ``(key, value)`` pairs of the slots holding neither 0 nor LONG_MIN.
+
+    Growth reinserts them in this order; the checker compares them with the model.
+    """
+    return sorted((k, v) for k, v in zip(m.keys, m.values) if k != 0 and k != LONG_MIN)
+
+
 def next_probe(e: int, x: int, mask: int) -> int:
     """Next slot after ``e`` on probe iteration ``x`` (caller pre-increments x)."""
     # mask + 1 divides 2**32, so masking directly matches 32-bit wraparound.
@@ -264,9 +272,16 @@ class FixedLongMap:
             return True
         if kind == UNDEFINED:
             return False
-        # MISSING_ZERO or MISSING_VACANT: i is the slot to fill.
-        self.keys[i] = key
-        self.values[i] = value
+        # MISSING_ZERO or MISSING_VACANT: i is the slot to fill. A key or
+        # value array('q') cannot hold raises; the key store is undone so
+        # the map is left unchanged.
+        keys = self.keys
+        keys[i] = key
+        try:
+            self.values[i] = value
+        except (OverflowError, TypeError):
+            keys[i] = 0 if kind == MISSING_ZERO else LONG_MIN
+            raise
         self.array_size += 1
         return True
 

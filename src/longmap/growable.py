@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .core import LONG_MIN, MAX_MASK_EXPONENT, FixedLongMap, is_valid_key, zero_entry
+from .core import MAX_MASK_EXPONENT, FixedLongMap, is_valid_key, live_pairs, zero_entry
 
 
 class GrowableLongMap:
@@ -87,9 +87,15 @@ class GrowableLongMap:
         return ok
 
     def _would_overfill(self, key: int) -> bool:
+        """True iff inserting ``key`` would take occupancy past the threshold.
+
+        Only at the threshold's edge does the answer depend on whether
+        ``key`` is already stored, so only there is it probed for.
+        """
         inner = self.inner
-        prospective = inner.array_size + (0 if inner.contains(key) else 1)
-        return prospective > self.growth_threshold * inner.capacity
+        n = inner.array_size
+        limit = self.growth_threshold * inner.capacity
+        return n + 1 > limit and (n > limit or not inner.contains(key))
 
     def _can_grow(self) -> bool:
         return self.inner.capacity < (1 << self.max_mask_exponent)
@@ -98,10 +104,7 @@ class GrowableLongMap:
         old = self.inner
         new = FixedLongMap(2 * (old.mask + 1) - 1, old.default_entry)
         # Ascending key order fixes the new layout independently of the old.
-        pairs = sorted(
-            (k, v) for k, v in zip(old.keys, old.values) if k != 0 and k != LONG_MIN
-        )
-        for k, v in pairs:
+        for k, v in live_pairs(old):
             if not new.update(k, v):
                 raise AssertionError(f"reinsert of {k} failed while growing")
         new.extra_keys = old.extra_keys

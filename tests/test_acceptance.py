@@ -253,7 +253,7 @@ def test_criterion_05_equivalence_lemmas():
     checks = 0
     for exp in FUZZ_EXPONENTS:
         cfg = FuzzConfig(seed=5000 + exp, op_count=1_100, mask_exponent=exp, sentinel_weight=0.05)
-        res = run_fuzz(cfg, equivalence_stride=1)
+        res = run_fuzz(cfg)
         assert res.ok, f"divergence at exponent {exp}: {res.divergence}"
         assert res.equivalence_checks >= 1_000
         checks += res.equivalence_checks

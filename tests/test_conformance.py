@@ -10,11 +10,9 @@ from longmap import (
     ListMap,
     MissingVacant,
     MissingZero,
-    check_equivalence,
     is_valid_key,
     run_fuzz,
     run_trace,
-    seek_agreement_property,
     seek_entry,
     seek_entry_or_open,
     snapshot_model,
@@ -101,8 +99,8 @@ def test_snapshot_matches_literal_fold():
 def test_equivalence_on_reachable_states():
     for seed in (3, 4, 5):
         m, _ = build_map(15, 200, seed)
-        assert check_equivalence(m)
-    assert check_equivalence(FixedLongMap(0))
+        assert equivalence_violation(m) is None
+    assert equivalence_violation(FixedLongMap(0)) is None
 
 
 def test_equivalence_detects_value_flipped_after_snapshot():
@@ -112,7 +110,6 @@ def test_equivalence_detects_value_flipped_after_snapshot():
     m.values[idx] ^= 1
     msg = equivalence_violation(m, snap)
     assert msg is not None and "value mismatch" in msg
-    assert not check_equivalence(m, snap)
 
 
 def test_equivalence_detects_key_erased_after_snapshot():
@@ -138,6 +135,21 @@ def test_equivalence_witness_for_hidden_key():
     m.values[j] = 51
     msg = equivalence_violation(m)
     assert msg is not None and "5" in msg
+
+
+def test_equivalence_detects_duplicate_with_equal_value():
+    # The first-wins snapshot folds the copy away and every index agrees
+    # with it on the value; only the duplicate itself is wrong.
+    m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 1, 0, 0], 2, 0, 0, 0)
+    assert equivalence_violation(m) == "key 5 duplicated at indexes 0 and 1"
+
+
+@pytest.mark.parametrize("extra_keys, zero_value", [(0, 0), (1, 8), (3, 7)])
+def test_equivalence_detects_sentinel_mismatch(extra_keys, zero_value):
+    m = FixedLongMap.unchecked(3, [5, 0, 0, 0], [1, 0, 0, 0], 1, extra_keys, zero_value, 9)
+    model = ListMap([(5, 1), (0, 7)])
+    msg = equivalence_violation(m, model)
+    assert msg is not None and msg.startswith("sentinel fields")
 
 
 def test_run_trace_deterministic_generation():
@@ -202,6 +214,32 @@ class LyingGetMap(FixedLongMap):
 class LyingContainsMap(FixedLongMap):
     def contains(self, key):
         return not super().contains(key)
+
+
+class RefusingMap(FixedLongMap):
+    """Fault injection: rejects every update and remove."""
+
+    def update(self, key, value):
+        return False
+
+    def remove(self, key):
+        return False
+
+
+@pytest.mark.parametrize(
+    "op, why",
+    [
+        (TraceOp("U", 5, 50), "slot"),
+        (TraceOp("R", 5), "slot"),
+        (TraceOp("U", 0, 1), "sentinel"),
+        (TraceOp("R", LONG_MIN), "sentinel"),
+    ],
+)
+def test_false_with_budget_left_detected(op, why):
+    res = run_trace([op], 7, map_factory=RefusingMap, shrink=False)
+    assert res.divergence is not None
+    assert res.divergence.op_index == 0
+    assert "returned False" in res.divergence.message and why in res.divergence.message
 
 
 def test_get_divergence_detected():
@@ -276,14 +314,14 @@ def test_seek_agreement_on_empty_array():
     k = 424242
     assert seek_entry(k, keys, 15) == MissingZero(to_index(k, 15))
     assert seek_entry_or_open(k, keys, 15) == MissingZero(to_index(k, 15))
-    assert seek_agreement_property(keys, 15, k)
+    assert seek_agreement_violation(keys, 15, k) is None
 
 
 def test_seek_agreement_present_key():
     keys = [0] * 16
     k = 424242
     keys[to_index(k, 15)] = k
-    assert seek_agreement_property(keys, 15, k)
+    assert seek_agreement_violation(keys, 15, k) is None
 
 
 def test_seek_agreement_tombstone_relabel():
@@ -293,7 +331,7 @@ def test_seek_agreement_tombstone_relabel():
     keys[t] = LONG_MIN
     assert seek_entry_or_open(k, keys, 15) == MissingVacant(t)
     assert seek_entry(k, keys, 15) == MissingZero(t)
-    assert seek_agreement_property(keys, 15, k)
+    assert seek_agreement_violation(keys, 15, k) is None
 
 
 def test_seek_agreement_over_generated_maps():

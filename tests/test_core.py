@@ -12,6 +12,7 @@ from longmap import (
     snapshot_model,
     valid_mask,
 )
+from longmap.cli import dump_state
 from longmap.invariants import check
 
 
@@ -160,6 +161,21 @@ def test_update_false_when_no_slot_reachable():
     assert not m.update(33, 3)
     assert snapshot_model(m) == before
     assert m.size == 2
+
+
+@pytest.mark.parametrize("key, value", [(5, 1 << 64), (5, LONG_MIN - 1), (5, 1.5), (1 << 64, 1)])
+@pytest.mark.parametrize("tombstone", [False, True])
+def test_unrepresentable_insert_leaves_map_unchanged(key, value, tombstone):
+    m = FixedLongMap(7)
+    m.update(3, 30)
+    if tombstone:
+        # Key 5's home slot becomes the tombstone its insert would reuse.
+        m.update(5, 50)
+        m.remove(5)
+    before = dump_state(m)
+    with pytest.raises((OverflowError, TypeError)):
+        m.update(key, value)
+    assert dump_state(m) == before
 
 
 def test_sentinels_fit_beside_full_array():

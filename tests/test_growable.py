@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import longmap.core as core
 from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model
 from longmap.conformance import FuzzConfig, generate_trace
 from longmap.invariants import all_keys_seekable, check
@@ -28,6 +29,19 @@ def test_overwrite_does_not_trigger_growth():
     g.update(22, 8)
     assert g.growth_count == 0
     assert g.get(11) == 9
+
+
+def test_inserts_below_the_threshold_probe_once(monkeypatch):
+    # The growth check needs to know whether the key is stored only when one
+    # more key would cross the threshold; below it each insert is one probe.
+    probes = []
+    probe = core._probe
+    monkeypatch.setattr(core, "_probe", lambda k, keys, mask: probes.append(k) or probe(k, keys, mask))
+    g = GrowableLongMap(1023)
+    for k in range(1, 401):
+        assert g.update(k, k)
+    assert g.growth_count == 0
+    assert len(probes) == 400
 
 
 def test_sentinel_workload_never_grows():
