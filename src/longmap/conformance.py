@@ -11,6 +11,7 @@ and op index and a minimized reproducing trace.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -267,6 +268,85 @@ def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     return None
 
 
+def _sentinels_agree(m, model: ListMap) -> bool:
+    """The sentinel fields of ``m`` hold exactly the model's entries for 0 and LONG_MIN."""
+    for bit, key, value in ((1, 0, m.zero_value), (2, LONG_MIN, m.min_value)):
+        if m.extra_keys & bit:
+            if not model.contains(key) or model.apply(key) != value:
+                return False
+        elif model.contains(key):
+            return False
+    return True
+
+
+class _VerifiedState:
+    """Copy of the last map state that ``equivalence_violation`` accepted.
+
+    Holds the key and value arrays, the slot of each live key in them and
+    the inner map they were taken from. ``accepts`` then verifies an op by
+    the slots it touched instead of the whole array.
+    """
+
+    __slots__ = ("inner", "keys", "values", "slot_of")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.keys = array("q", inner.keys)
+        self.values = array("q", inner.values)
+        self.slot_of = {k: i for i, k in enumerate(inner.keys) if k != 0 and k != LONG_MIN}
+
+    def accepts(self, inner, model: ListMap, k: int) -> bool:
+        """True iff equivalence of ``inner`` with ``model`` after an op on ``k``
+        follows from the copy's plus the change the op made.
+
+        The change may touch only the slot holding ``k`` in the copy and the
+        slot where ``k``'s probe path now reaches ``k`` before a 0, each of
+        them only ever holding 0, LONG_MIN or ``k``; every other slot must
+        equal the copy. The model changed at ``k`` alone, so it suffices
+        that ``k`` is held exactly when the model holds it, with the model's
+        value, and that the sentinel fields agree. On True the copy takes
+        the change; on False it is stale and the full check decides.
+        """
+        keys, values = inner.keys, inner.values
+        old_keys, old_values = self.keys, self.values
+        if inner is not self.inner or len(keys) != len(old_keys) or not _sentinels_agree(inner, model):
+            return False
+        if k == 0 or k == LONG_MIN:
+            return keys == old_keys and values == old_values
+        mask = len(keys) - 1
+        home = to_index(k, mask)
+        new = None
+        for d in _probe_offsets(mask):
+            i = (home + d) & mask
+            q = keys[i]
+            if q == k:
+                new = i
+                break
+            if not q:
+                break
+        slots = {self.slot_of.get(k), new}
+        slots.discard(None)
+        holders = []
+        for i in slots:
+            if keys[i] not in (0, LONG_MIN, k) or old_keys[i] not in (0, LONG_MIN, k):
+                return False
+            old_keys[i] = keys[i]
+            old_values[i] = values[i]
+            if keys[i] == k:
+                holders.append(i)
+        if keys != old_keys or values != old_values:
+            return False
+        if not model.contains(k):
+            if holders:
+                return False
+            self.slot_of.pop(k, None)
+        elif len(holders) != 1 or values[holders[0]] != model.apply(k):
+            return False
+        else:
+            self.slot_of[k] = holders[0]
+        return True
+
+
 def _apply_checked(m, model: ListMap, op: TraceOp, default_entry) -> tuple[ListMap, Optional[str]]:
     """Run one op on both twins; return the new model and a divergence message."""
     k = op.key
@@ -312,7 +392,10 @@ def run_trace(
     """Execute ``ops`` differentially against the model, checking contracts.
 
     After every op the twins must agree observably and the whole array must
-    match the model (``equivalence_violation``); the invariant is checked
+    match the model. An op is verified by the slots it touched against the
+    last state the full check (``equivalence_violation``) accepted; the full
+    check runs on the first op, after growth and whenever that does not
+    settle it, and it alone words a divergence. The invariant is checked
     every ``invariant_stride`` ops (default 1 for capacity <= 64, else 64).
     The first divergence stops the run; with ``shrink`` a minimized
     reproducing trace is attached to the result.
@@ -329,6 +412,7 @@ def run_trace(
     inv_checks = 0
     eq_checks = 0
     divergence = None
+    verified = None
 
     for idx, op in enumerate(ops):
         counts[op.kind] = counts.get(op.kind, 0) + 1
@@ -336,9 +420,12 @@ def run_trace(
         inner = getattr(m, "inner", m)
         if msg is None:
             eq_checks += 1
-            eq = equivalence_violation(inner, model)
-            if eq is not None:
-                msg = f"snapshot != model: {eq}"
+            if verified is None or not verified.accepts(inner, model, op.key):
+                eq = equivalence_violation(inner, model)
+                if eq is not None:
+                    msg = f"snapshot != model: {eq}"
+                else:
+                    verified = _VerifiedState(inner)
         if msg is None and (idx + 1) % invariant_stride == 0:
             inv_checks += 1
             report = check_invariant(inner)

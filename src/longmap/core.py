@@ -83,14 +83,17 @@ def _probe(k: int, keys, mask: int) -> tuple[int, int, int]:
     ``k`` (FOUND at it) or 0. A 0 slot yields MISSING_ZERO at that slot when
     no tombstone was crossed, else MISSING_VACANT at the first tombstone, the
     slot an insert of ``k`` reuses. After ``MAX_PROBES`` iterations without
-    either it yields UNDEFINED with index -1. The paper's two seek phases
-    (up to the first tombstone, then past it) share this one loop and its
-    iteration budget.
+    either it yields UNDEFINED with index -1 and ``MAX_PROBES`` iterations.
+    The paper's two seek phases (up to the first tombstone, then past it)
+    share this one loop and its iteration budget.
     """
     e = to_index(k, mask)
     vacant = -1
     x = 0
-    while x < MAX_PROBES:
+    # Below MAX_PROBES slots the first mask + 1 probes visit every slot once
+    # and later ones only revisit them, so stopping there changes no outcome.
+    limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES
+    while x < limit:
         q = keys[e]
         if q == k:
             return FOUND, e, x
@@ -102,7 +105,7 @@ def _probe(k: int, keys, mask: int) -> tuple[int, int, int]:
             vacant = e
         x += 1
         e = (e + 2 * (x + 1) * x - 3) & mask
-    return UNDEFINED, -1, x
+    return UNDEFINED, -1, MAX_PROBES
 
 
 class SeekResult:
@@ -259,6 +262,9 @@ class FixedLongMap:
         runs out without finding the key or a free slot.
         """
         if key == 0 or key == LONG_MIN:
+            # Held to what the value array can hold: raises as the array
+            # path does, before anything is stored.
+            value = array("q", (value,))[0]
             if key == 0:
                 self.zero_value = value
                 self.extra_keys |= 1

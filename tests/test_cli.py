@@ -1,11 +1,13 @@
 """CLI surface: exit codes, determinism, file formats."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import longmap
 from longmap import FixedLongMap, to_index
 from longmap.cli import dump_state, load_state, main, parse_state, save_state, StateParseError
 
@@ -234,10 +236,14 @@ def test_fuzz_divergence_writes_minimized_trace(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(longmap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "longmap", "fuzz", "--seed", "1", "--ops", "50", "--mask-exp", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "result OK" in proc.stdout

@@ -4,13 +4,18 @@ import random
 
 import pytest
 
+import longmap.conformance as conformance
+from mutants import MUTANTS, applied
 from longmap import (
     LONG_MIN,
+    MAX_PROBES,
     FixedLongMap,
+    GrowableLongMap,
     ListMap,
     MissingVacant,
     MissingZero,
     is_valid_key,
+    next_probe,
     run_fuzz,
     run_trace,
     seek_entry,
@@ -270,6 +275,183 @@ def test_divergence_detected_and_shrunk():
     assert replay.divergence is not None
     # And it is clean on the real implementation.
     assert run_trace(res.minimized, mask, shrink=False).ok
+
+
+def declined(monkeypatch):
+    """Turn the delta step off: every op goes to the full check."""
+    monkeypatch.setattr(conformance._VerifiedState, "accepts", lambda self, inner, model, k: False)
+
+
+def count_full_checks(monkeypatch) -> list:
+    """Record every call of the full equivalence check, by monkeypatch."""
+    calls = []
+    full = conformance.equivalence_violation
+
+    def counted(m, model=None):
+        calls.append(m)
+        return full(m, model)
+
+    monkeypatch.setattr(conformance, "equivalence_violation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_delta_step_keeps_every_mutant_divergence(mutant, monkeypatch):
+    kwargs = {"default_entry": mutant.default_entry, "shrink": False}
+    if mutant.map_factory is not None:
+        kwargs["map_factory"] = mutant.map_factory
+    for exp in (3, 6, 10):
+        mask, ops = generate_trace(FuzzConfig(seed=42, op_count=3000, mask_exponent=exp))
+        with applied(mutant):
+            on = run_trace(ops, mask, **kwargs)
+            with monkeypatch.context() as mp:
+                declined(mp)
+                off = run_trace(ops, mask, **kwargs)
+        assert on.divergence == off.divergence
+        assert on.equivalence_checks == off.equivalence_checks
+
+
+TARGET = 13  # at mask 15 its probe path runs through keys 1 and 4 to slot 15
+CORRUPTION_TRACE = [TraceOp("U", k, 10 * k) for k in (1, 2, 3, 4, 5, TARGET)] + [
+    TraceOp("R", 1),  # leaves a tombstone at the head of TARGET's path
+    TraceOp("U", TARGET, 131),
+    TraceOp("U", 0, 7),
+    TraceOp("R", TARGET),
+    *(TraceOp("G", k) for k in (0, 1, 2, 3, 4, 5, TARGET)),
+]
+
+
+def probe_path(k, mask):
+    e = to_index(k, mask)
+    yield e
+    for x in range(1, MAX_PROBES):
+        e = next_probe(e, x, mask)
+        yield e
+
+
+class CorruptsAfterTrigger(FixedLongMap):
+    """Fault injection: after the op ``trigger``, the state is broken once."""
+
+    trigger = TraceOp("U", TARGET, 131)
+
+    def update(self, key, value):
+        ok = super().update(key, value)
+        if TraceOp("U", key, value) == self.trigger:
+            self.corrupt()
+        return ok
+
+    def other_key_slot(self) -> int:
+        return next(i for i, k in enumerate(self.keys) if is_valid_key(k) and k != TARGET)
+
+
+class RewritesOtherValue(CorruptsAfterTrigger):
+    def corrupt(self):
+        self.values[self.other_key_slot()] += 1
+
+
+class RewritesOtherValueOnSentinelOp(RewritesOtherValue):
+    trigger = TraceOp("U", 0, 7)
+
+
+class RewritesTargetValue(CorruptsAfterTrigger):
+    def corrupt(self):
+        self.values[self.keys.index(TARGET)] += 1
+
+
+class CopiesTargetTwice(CorruptsAfterTrigger):
+    """Copies TARGET into the tombstone ahead of it on its probe path."""
+
+    def corrupt(self):
+        i = self.keys.index(TARGET)
+        j = next(e for e in probe_path(TARGET, self.mask) if self.keys[e] == LONG_MIN)
+        self.keys[j], self.values[j] = TARGET, self.values[i]
+
+
+class StoresTargetOverOtherKey(CorruptsAfterTrigger):
+    """Moves TARGET onto the first other key on its probe path, which is lost."""
+
+    def corrupt(self):
+        t = self.keys.index(TARGET)
+        s = next(e for e in probe_path(TARGET, self.mask) if is_valid_key(self.keys[e]))
+        self.keys[s], self.values[s] = TARGET, self.values[t]
+        self.keys[t], self.values[t] = 0, 0
+
+
+class TombstoneTakesOtherKey(CorruptsAfterTrigger):
+    """Removing TARGET leaves another stored pair in its slot, not a tombstone."""
+
+    trigger = TraceOp("R", TARGET)
+
+    def remove(self, key):
+        t = self.keys.index(TARGET) if key == TARGET else None
+        ok = super().remove(key)
+        if t is not None:
+            o = self.other_key_slot()
+            self.keys[t], self.values[t] = self.keys[o], self.values[o]
+        return ok
+
+
+class FlipsSentinelBit(CorruptsAfterTrigger):
+    def corrupt(self):
+        self.extra_keys ^= 1
+
+
+class MovesOtherKey(CorruptsAfterTrigger):
+    """Moves a stored key to the first empty slot on its probe path past its
+    own, leaving a tombstone behind: the pairs and seekability are intact."""
+
+    def corrupt(self):
+        i = self.other_key_slot()
+        path = probe_path(self.keys[i], self.mask)
+        next(e for e in path if e == i)
+        j = next(e for e in path if self.keys[e] == 0)
+        self.keys[j], self.values[j] = self.keys[i], self.values[i]
+        self.keys[i], self.values[i] = LONG_MIN, 0
+
+
+@pytest.mark.parametrize(
+    "factory, message",
+    [
+        (RewritesOtherValue, "value mismatch for key 5 at index 0"),
+        (RewritesOtherValueOnSentinelOp, "value mismatch for key 5 at index 0"),
+        (RewritesTargetValue, f"value mismatch for key {TARGET} "),
+        (CopiesTargetTwice, f"key {TARGET} duplicated at indexes"),
+        (StoresTargetOverOtherKey, "model key 4 does not occur"),
+        (TombstoneTakesOtherKey, "key 5 duplicated at indexes 0 and"),
+        (FlipsSentinelBit, "sentinel fields"),
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else "",
+)
+def test_corruption_caught_at_its_op_by_the_full_check(factory, message, monkeypatch):
+    res = run_trace(CORRUPTION_TRACE, 15, map_factory=factory, shrink=False)
+    assert res.divergence.op_index == CORRUPTION_TRACE.index(factory.trigger)
+    assert res.divergence.message.startswith(f"snapshot != model: {message}")
+    declined(monkeypatch)
+    assert run_trace(CORRUPTION_TRACE, 15, map_factory=factory, shrink=False).divergence == res.divergence
+
+
+def test_equivalent_relayout_falls_back_and_passes(monkeypatch):
+    calls = count_full_checks(monkeypatch)
+    res = run_trace(CORRUPTION_TRACE, 15, map_factory=MovesOtherKey, shrink=False)
+    assert res.ok, res.divergence
+    # The first op, then the op whose change touched a slot off TARGET's path.
+    assert len(calls) == 2
+
+
+def test_full_check_runs_once_on_a_clean_trace(monkeypatch):
+    calls = count_full_checks(monkeypatch)
+    mask, ops = generate_trace(FuzzConfig(seed=4, op_count=2048, mask_exponent=10))
+    res = run_trace(ops, mask, shrink=False)
+    assert res.ok and res.equivalence_checks == 2048
+    assert len(calls) == 1
+
+
+def test_full_check_runs_once_per_growth(monkeypatch):
+    calls = count_full_checks(monkeypatch)
+    mask, ops = generate_trace(FuzzConfig(seed=4, op_count=2048, mask_exponent=10))
+    res = run_trace(ops, mask, map_factory=lambda mask, entry: GrowableLongMap(1, entry), shrink=False)
+    assert res.ok and res.final_map.growth_count > 0
+    assert len(calls) == 1 + res.final_map.growth_count
 
 
 def test_trace_format_round_trip():

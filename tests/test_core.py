@@ -163,7 +163,9 @@ def test_update_false_when_no_slot_reachable():
     assert m.size == 2
 
 
-@pytest.mark.parametrize("key, value", [(5, 1 << 64), (5, LONG_MIN - 1), (5, 1.5), (1 << 64, 1)])
+@pytest.mark.parametrize(
+    "key, value", [(5, 1 << 64), (5, LONG_MIN - 1), (5, 1.5), (1 << 64, 1), (0, 1 << 64), (LONG_MIN, 1.5)]
+)
 @pytest.mark.parametrize("tombstone", [False, True])
 def test_unrepresentable_insert_leaves_map_unchanged(key, value, tombstone):
     m = FixedLongMap(7)

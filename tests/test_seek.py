@@ -136,8 +136,22 @@ def test_traced_iterations_zero_for_home_slot_hit(seek):
 
 def test_counter_carries_across_phases():
     # One slot holding a tombstone: phase one stops there immediately, phase
-    # two re-examines it forever; the shared counter caps the total work.
+    # two would re-examine it forever; the shared budget is reported spent.
     assert _probe(K, [LONG_MIN], 0) == (UNDEFINED, -1, MAX_PROBES)
+
+
+@pytest.mark.parametrize("exp", range(12))
+def test_first_capacity_probes_visit_every_slot_once(exp):
+    # Below MAX_PROBES slots, probes past the first mask + 1 only revisit
+    # slots, which is why _probe may stop there.
+    mask = (1 << exp) - 1
+    assert mask < MAX_PROBES
+    e = 0
+    offsets = [e]
+    for x in range(1, mask + 1):
+        e = next_probe(e, x, mask)
+        offsets.append(e)
+    assert sorted(offsets) == list(range(mask + 1))
 
 
 def test_undefined_never_for_reachable_key():
