@@ -8,15 +8,8 @@ from .core import (
     MAX_MASK_EXPONENT,
     MAX_PROBES,
     FixedLongMap,
-    Found,
-    MissingVacant,
-    MissingZero,
-    SeekResult,
-    Undefined,
     is_valid_key,
     next_probe,
-    seek_entry,
-    seek_entry_or_open,
     to_index,
     valid_mask,
     zero_entry,
@@ -43,11 +36,6 @@ __all__ = [
     "FixedLongMap",
     "GrowableLongMap",
     "ListMap",
-    "SeekResult",
-    "Found",
-    "MissingZero",
-    "MissingVacant",
-    "Undefined",
     "InvariantReport",
     "FuzzConfig",
     "TraceOp",
@@ -58,8 +46,6 @@ __all__ = [
     "next_probe",
     "run_fuzz",
     "run_trace",
-    "seek_entry",
-    "seek_entry_or_open",
     "snapshot_model",
     "to_index",
     "valid_mask",

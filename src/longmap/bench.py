@@ -65,7 +65,6 @@ def run_bench(
     *,
     seed: int = 0,
     growable: bool = False,
-    growth_threshold: float = 0.5,
 ) -> BenchReport:
     """Measure latency and probe lengths at each occupancy level.
 
@@ -88,7 +87,7 @@ def run_bench(
     mask = (1 << mask_exponent) - 1
     base_capacity = mask + 1
     if growable:
-        m = GrowableLongMap(mask, growth_threshold=growth_threshold)
+        m = GrowableLongMap(mask)
     else:
         m = FixedLongMap(mask)
 

@@ -19,13 +19,15 @@ from .conformance import (
     TraceParseError,
     equivalence_violation,
     generate_trace,
+    parse_int,
+    read_ascii,
     read_trace,
     run_trace,
     write_trace,
 )
-from .core import MAX_MASK, FixedLongMap, is_valid_key
+from .core import MAX_MASK, FixedLongMap
 from .growable import GrowableLongMap
-from .invariants import check as check_invariant
+from .invariants import check as check_invariant, count_valid_keys
 
 
 class StateParseError(ValueError):
@@ -49,20 +51,6 @@ def save_state(m: FixedLongMap, path) -> None:
         f.write(dump_state(m))
 
 
-def _parse_int(text: str, ln: int, what: str, lo: int, hi: int) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise StateParseError(ln, f"{what} is not an integer: {text!r}") from None
-    if not lo <= v <= hi:
-        raise StateParseError(ln, f"{what} {v} outside [{lo}, {hi}]")
-    return v
-
-
-I64_MIN = -(1 << 63)
-I64_MAX = (1 << 63) - 1
-
-
 def parse_state(text: str) -> FixedLongMap:
     """Parse a serialized state; the result may violate the invariant (that
     is for the checker to report), but must at least be buildable."""
@@ -72,13 +60,13 @@ def parse_state(text: str) -> FixedLongMap:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "mask":
         raise StateParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
-    mask = _parse_int(head[1], 1, "mask", 0, MAX_MASK)
+    mask = parse_int(head[1], 1, "mask", StateParseError, 0, MAX_MASK)
     extra_line = lines[1].split()
     if len(extra_line) != 4 or extra_line[0] != "extra":
         raise StateParseError(2, f"expected 'extra <keys> <zero> <min>', got {lines[1]!r}")
-    extra_keys = _parse_int(extra_line[1], 2, "extra_keys", I64_MIN, I64_MAX)
-    zero_value = _parse_int(extra_line[2], 2, "zero_value", I64_MIN, I64_MAX)
-    min_value = _parse_int(extra_line[3], 2, "min_value", I64_MIN, I64_MAX)
+    extra_keys = parse_int(extra_line[1], 2, "extra_keys", StateParseError)
+    zero_value = parse_int(extra_line[2], 2, "zero_value", StateParseError)
+    min_value = parse_int(extra_line[3], 2, "min_value", StateParseError)
 
     keys = [0] * (mask + 1)
     values = [0] * (mask + 1)
@@ -89,20 +77,19 @@ def parse_state(text: str) -> FixedLongMap:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "slot":
             raise StateParseError(ln, f"expected 'slot <i> <key> <value>', got {line!r}")
-        i = _parse_int(parts[1], ln, "slot index", 0, mask)
+        i = parse_int(parts[1], ln, "slot index", StateParseError, 0, mask)
         if i in seen:
             raise StateParseError(ln, f"slot {i} listed twice")
         seen.add(i)
-        keys[i] = _parse_int(parts[2], ln, "key", I64_MIN, I64_MAX)
-        values[i] = _parse_int(parts[3], ln, "value", I64_MIN, I64_MAX)
+        keys[i] = parse_int(parts[2], ln, "key", StateParseError)
+        values[i] = parse_int(parts[3], ln, "value", StateParseError)
 
-    array_size = sum(1 for k in keys if is_valid_key(k))
+    array_size = count_valid_keys(keys)
     return FixedLongMap.unchecked(mask, keys, values, array_size, extra_keys, zero_value, min_value)
 
 
 def load_state(path) -> FixedLongMap:
-    with open(path, "r", encoding="ascii") as f:
-        return parse_state(f.read())
+    return parse_state(read_ascii(path, StateParseError))
 
 
 def _mask_exp(value: str) -> int:
@@ -206,9 +193,6 @@ def cmd_replay(args) -> int:
     except TraceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     result = run_trace(ops, mask, shrink=False)
     print(f"ops {result.ops_run}")
@@ -277,9 +261,6 @@ def cmd_check(args) -> int:
     except StateParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     report = check_invariant(m)
     print(f"simple_valid {str(report.simple_valid).lower()}")
@@ -297,13 +278,13 @@ def cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "fuzz":
-        return cmd_fuzz(args)
-    if args.command == "replay":
-        return cmd_replay(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    return cmd_check(args)
+    command = {"fuzz": cmd_fuzz, "replay": cmd_replay, "bench": cmd_bench, "check": cmd_check}
+    try:
+        return command[args.command](args)
+    except OSError as exc:
+        # A file that cannot be read or written is bad input, not a violation.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

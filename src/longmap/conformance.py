@@ -1,11 +1,11 @@
 """Differential checking of FixedLongMap against the ListMap model.
 
 Provides model extraction from concrete map state, the array/model
-equivalence check, agreement checks between the two seek functions, and a
-deterministic randomized trace runner that executes every operation on both
-the array map and the model twin, asserting the public-contract relations
-and the equivalence after each step. A divergence is reported with its seed
-and op index and a minimized reproducing trace.
+equivalence check, and a deterministic randomized trace runner that
+executes every operation on both the array map and the model twin, asserting
+the public-contract relations and the equivalence after each step. A
+divergence is reported with its seed and op index and a minimized
+reproducing trace.
 """
 
 from __future__ import annotations
@@ -18,18 +18,13 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import (
+    LONG_MAX,
     LONG_MIN,
     MAX_PROBES,
-    Found,
     FixedLongMap,
-    MissingVacant,
-    MissingZero,
-    Undefined,
     is_valid_key,
     live_pairs,
     next_probe,
-    seek_entry,
-    seek_entry_or_open,
     to_index,
     valid_mask,
     zero_entry,
@@ -155,42 +150,6 @@ def equivalence_violation(m, model: Optional[ListMap] = None) -> Optional[str]:
         f"sentinel fields extra_keys {m.extra_keys}, zero_value {m.zero_value}, "
         f"min_value {m.min_value} disagree with the model"
     )
-
-
-def seek_agreement_violation(keys, mask: int, k: int) -> Optional[str]:
-    """Check the seek_entry / seek_entry_or_open agreement relation for ``k``.
-
-    Requires an invariant-satisfying array (every stored key seekable, no
-    duplicates) and a valid ``k``. Found and Undefined outcomes must
-    coincide; a MissingVacant(i) from seek_entry_or_open must appear as
-    MissingZero(i) from seek_entry; and a key present in the array must
-    always be Found.
-    """
-    a = seek_entry(k, keys, mask)
-    b = seek_entry_or_open(k, keys, mask)
-
-    if isinstance(b, Found):
-        if a != b:
-            return f"found disagreement for {k}: seek_entry {a}, or_open {b}"
-        if keys[b.index] != k:
-            return f"Found({b.index}) for {k} but slot holds {keys[b.index]}"
-    elif isinstance(b, Undefined):
-        if not isinstance(a, Undefined):
-            return f"undefined disagreement for {k}: seek_entry {a}"
-    elif isinstance(b, MissingZero):
-        if a != MissingZero(b.index):
-            return f"missing-zero disagreement for {k}: seek_entry {a}, or_open {b}"
-        if keys[b.index] != 0:
-            return f"MissingZero({b.index}) for {k} but slot holds {keys[b.index]}"
-    elif isinstance(b, MissingVacant):
-        if a != MissingZero(b.index):
-            return f"relabel disagreement for {k}: seek_entry {a}, or_open {b}"
-        if keys[b.index] != LONG_MIN:
-            return f"MissingVacant({b.index}) for {k} but slot holds {keys[b.index]}"
-
-    if not isinstance(b, Found) and k in keys:
-        return f"key {k} is present in the array but seek returned {b}"
-    return None
 
 
 def generate_trace(cfg: FuzzConfig) -> tuple[int, list]:
@@ -507,13 +466,37 @@ def write_trace(path, mask: int, ops) -> None:
         f.write(format_trace(mask, ops))
 
 
-def _parse_i64(text: str, line_number: int, what: str) -> int:
+def read_ascii(path, error) -> str:
+    """The text of the ASCII file at ``path``.
+
+    A non-ASCII byte raises ``error(line_number, message)``, the signature
+    of the trace and state parse errors.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
+def parse_int(
+    text: str, line_number: int, what: str, error=TraceParseError, lo: int = LONG_MIN, hi: int = LONG_MAX
+) -> int:
+    """The whitespace-free token ``text`` as a signed decimal in [lo, hi].
+
+    Anything else raises ``error(line_number, message)``, including the
+    ``_`` separators and non-ASCII digits that ``int`` would accept.
+    """
+    if "_" in text or not text.isascii():
+        raise error(line_number, f"{what} is not a signed decimal: {text!r}")
     try:
         v = int(text)
     except ValueError:
-        raise TraceParseError(line_number, f"{what} is not an integer: {text!r}") from None
-    if not -(1 << 63) <= v < (1 << 63):
-        raise TraceParseError(line_number, f"{what} outside signed 64-bit range: {v}")
+        raise error(line_number, f"{what} is not an integer: {text!r}") from None
+    if not lo <= v <= hi:
+        raise error(line_number, f"{what} {v} outside [{lo}, {hi}]")
     return v
 
 
@@ -525,7 +508,7 @@ def parse_trace(text: str) -> tuple[int, list]:
     header = lines[0].split()
     if len(header) != 2 or header[0] != "mask":
         raise TraceParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
-    mask = _parse_i64(header[1], 1, "mask")
+    mask = parse_int(header[1], 1, "mask")
     if not valid_mask(mask):
         raise TraceParseError(1, f"mask {mask} is not 2**n - 1 with n <= 30")
 
@@ -539,17 +522,16 @@ def parse_trace(text: str) -> tuple[int, list]:
             if len(parts) != 3:
                 raise TraceParseError(ln, f"U takes key and value, got {line!r}")
             ops.append(
-                TraceOp("U", _parse_i64(parts[1], ln, "key"), _parse_i64(parts[2], ln, "value"))
+                TraceOp("U", parse_int(parts[1], ln, "key"), parse_int(parts[2], ln, "value"))
             )
         elif kind in ("R", "G", "C"):
             if len(parts) != 2:
                 raise TraceParseError(ln, f"{kind} takes a key, got {line!r}")
-            ops.append(TraceOp(kind, _parse_i64(parts[1], ln, "key")))
+            ops.append(TraceOp(kind, parse_int(parts[1], ln, "key")))
         else:
             raise TraceParseError(ln, f"unknown op {kind!r}")
     return mask, ops
 
 
 def read_trace(path) -> tuple[int, list]:
-    with open(path, "r", encoding="ascii") as f:
-        return parse_trace(f.read())
+    return parse_trace(read_ascii(path, TraceParseError))

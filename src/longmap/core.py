@@ -9,14 +9,13 @@ LONG_MIN therefore live in side fields (``extra_keys`` bits 0/1 plus
 ``zero_value`` / ``min_value``).
 
 The probe loop gives up after ``MAX_PROBES`` slot inspections and reports
-``Undefined``; ``update`` surfaces this as a ``False`` return instead of
+UNDEFINED; ``update`` surfaces this as a ``False`` return instead of
 looping forever on a map with no reachable free slot.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable
 
 LONG_MIN = -(1 << 63)
@@ -25,7 +24,7 @@ LONG_MAX = (1 << 63) - 1
 MAX_MASK_EXPONENT = 30
 MAX_MASK = (1 << MAX_MASK_EXPONENT) - 1
 
-# Probe-loop iteration cap; reaching it yields Undefined.
+# Probe-loop iteration cap; reaching it yields UNDEFINED.
 MAX_PROBES = 2048
 
 _U64 = (1 << 64) - 1
@@ -106,65 +105,6 @@ def _probe(k: int, keys, mask: int) -> tuple[int, int, int]:
         x += 1
         e = (e + 2 * (x + 1) * x - 3) & mask
     return UNDEFINED, -1, MAX_PROBES
-
-
-class SeekResult:
-    """Outcome of probing for a key, as the spec states it."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Found(SeekResult):
-    index: int
-
-
-@dataclass(frozen=True)
-class MissingZero(SeekResult):
-    index: int
-
-
-@dataclass(frozen=True)
-class MissingVacant(SeekResult):
-    index: int
-
-
-@dataclass(frozen=True)
-class Undefined(SeekResult):
-    pass
-
-
-def _view(kind: int, index: int) -> SeekResult:
-    if kind == FOUND:
-        return Found(index)
-    if kind == MISSING_ZERO:
-        return MissingZero(index)
-    if kind == MISSING_VACANT:
-        return MissingVacant(index)
-    return Undefined()
-
-
-def seek_entry_or_open(k: int, keys, mask: int) -> SeekResult:
-    """Probe for ``k`` or for the slot an insert of ``k`` should use.
-
-    Found(i): keys[i] == k. MissingZero(i): k absent, keys[i] == 0 and no
-    tombstone was crossed. MissingVacant(i): k absent, keys[i] == LONG_MIN is
-    the first tombstone crossed before the terminating 0. Undefined: probe
-    budget exhausted.
-    """
-    kind, index, _ = _probe(k, keys, mask)
-    return _view(kind, index)
-
-
-def seek_entry(k: int, keys, mask: int) -> SeekResult:
-    """Probe for ``k`` only; misses are reported as MissingZero.
-
-    Same probe sequence as seek_entry_or_open with every MissingVacant
-    relabeled MissingZero. The index carried by MissingZero may point at a
-    tombstone rather than a 0 slot and must not be used by callers.
-    """
-    kind, index, _ = _probe(k, keys, mask)
-    return _view(MISSING_ZERO if kind == MISSING_VACANT else kind, index)
 
 
 class FixedLongMap:

@@ -10,7 +10,7 @@ shrinking, and tombstone pressure alone does not trigger reallocation.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import MAX_MASK_EXPONENT, FixedLongMap, is_valid_key, live_pairs, zero_entry
 
@@ -18,7 +18,7 @@ from .core import MAX_MASK_EXPONENT, FixedLongMap, is_valid_key, live_pairs, zer
 class GrowableLongMap:
     """Same interface as FixedLongMap, minus the capacity ceiling (up to 2**30)."""
 
-    __slots__ = ("inner", "growth_threshold", "max_mask_exponent", "grow_listener", "growth_count")
+    __slots__ = ("inner", "growth_threshold", "growth_count")
 
     def __init__(
         self,
@@ -26,18 +26,11 @@ class GrowableLongMap:
         default_entry: Callable[[int], int] = zero_entry,
         *,
         growth_threshold: float = 0.5,
-        max_mask_exponent: int = MAX_MASK_EXPONENT,
     ):
         if not 0.0 < growth_threshold <= 1.0:
             raise ValueError(f"growth_threshold must be in (0, 1], got {growth_threshold}")
-        if not 0 <= max_mask_exponent <= MAX_MASK_EXPONENT:
-            raise ValueError(f"max_mask_exponent outside 0..30: {max_mask_exponent}")
         self.inner = FixedLongMap(mask, default_entry)
-        if self.inner.capacity > (1 << max_mask_exponent):
-            raise ValueError("initial mask exceeds max_mask_exponent")
         self.growth_threshold = growth_threshold
-        self.max_mask_exponent = max_mask_exponent
-        self.grow_listener: Optional[Callable] = None
         self.growth_count = 0
 
     @property
@@ -72,8 +65,8 @@ class GrowableLongMap:
     def update(self, key: int, value: int) -> bool:
         """Insert or overwrite, growing first if the slot budget demands it.
 
-        Returns False only when the map is already at max_mask_exponent and
-        the maximal inner map rejects the insert.
+        Returns False only when the map is already at the 2**30 capacity
+        ceiling and the maximal inner map rejects the insert.
         """
         if not is_valid_key(key):
             # Sentinels occupy no array slot.
@@ -98,7 +91,7 @@ class GrowableLongMap:
         return n + 1 > limit and (n > limit or not inner.contains(key))
 
     def _can_grow(self) -> bool:
-        return self.inner.capacity < (1 << self.max_mask_exponent)
+        return self.inner.capacity < (1 << MAX_MASK_EXPONENT)
 
     def _grow(self) -> None:
         old = self.inner
@@ -110,8 +103,6 @@ class GrowableLongMap:
         new.extra_keys = old.extra_keys
         new.zero_value = old.zero_value
         new.min_value = old.min_value
-        if self.grow_listener is not None:
-            self.grow_listener(old, new)
         self.inner = new
         self.growth_count += 1
 

@@ -35,15 +35,9 @@ class InvariantReport:
         )
 
 
-def count_valid_keys(a, start: int, stop: int) -> int:
-    """Number of valid keys in a[start:stop]."""
-    s = a[start:stop]
-    return len(s) - s.count(0) - s.count(LONG_MIN)
-
-
-def all_keys_seekable(keys, mask: int) -> bool:
-    """True iff probing for each stored key terminates at its own slot."""
-    return _seekability_violation(keys, mask) is None
+def count_valid_keys(a) -> int:
+    """Number of valid keys (neither 0 nor LONG_MIN) in ``a``."""
+    return len(a) - a.count(0) - a.count(LONG_MIN)
 
 
 def _seekability_violation(keys, mask: int) -> Optional[int]:
@@ -90,7 +84,7 @@ def check(m) -> InvariantReport:
         problems.append(f"extra_keys {m.extra_keys} outside 0..3")
     simple = not problems
 
-    counted = count_valid_keys(m.keys, 0, len(m.keys))
+    counted = count_valid_keys(m.keys)
     count_ok = counted == m.array_size
     if not count_ok:
         problems.append(f"counted {counted} valid keys but array_size is {m.array_size}")

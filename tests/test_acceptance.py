@@ -24,11 +24,13 @@ from longmap import (
 )
 import longmap.core as core
 from longmap.bench import run_bench
-from longmap.conformance import FuzzConfig, generate_trace, seek_agreement_violation
+from longmap.conformance import FuzzConfig, generate_trace
 from longmap.invariants import check
 
 from hash_oracle import to_index_oracle
+from test_growable import growth_watched
 from test_hash import FIXED_KEYS
+from test_seek import probe_violation
 
 FUZZ_EXPONENTS = (0, 1, 2, 4, 6, 8, 10)
 OPS_PER_EXPONENT = 15_000
@@ -84,46 +86,53 @@ def fuzz_corpus():
     return {"results": results, "audit": stats, "elapsed": time.perf_counter() - started}
 
 
+def agreement_arrays(count):
+    """The first ``count`` arrays of the criterion-6 corpus, each built
+    through map ops and yielded as ``(map, keys to probe in it)``."""
+    rng = random.Random(66066)
+    for arrays in range(1, count + 1):
+        mask = (1 << ((arrays - 1) % 7)) - 1
+        m = FixedLongMap(mask)
+        pool = []
+        pool_set = set()
+        while len(pool) < 2 * (mask + 1):
+            k = rng.getrandbits(64) - (1 << 63)
+            if is_valid_key(k) and k not in pool_set:
+                pool_set.add(k)
+                pool.append(k)
+        for _ in range(min(2 * (mask + 1), 48)):
+            k = pool[rng.randrange(len(pool))]
+            if rng.random() < 0.6:
+                m.update(k, rng.getrandbits(64) - (1 << 63))
+            else:
+                m.remove(k)
+        if arrays % 97 == 0:
+            assert check(m).valid  # spot-check the construction
+        probes = pool[: min(len(pool), 6)]
+        while True:
+            fresh = rng.getrandbits(64) - (1 << 63)
+            if is_valid_key(fresh) and fresh not in pool_set:
+                probes.append(fresh)
+                break
+        yield m, probes
+
+
 @pytest.fixture(scope="module")
 def agreement_corpus():
-    """Criterion-6 corpus: invariant-satisfying arrays built through ops."""
+    """Criterion-6 corpus: each probed key's one probe-loop result checked
+    against the two-phase reference and the array."""
     stats = {"seeks": 0, "max_iters": 0, "undefined": 0, "iff_violations": 0}
-    rng = random.Random(66066)
     arrays = 0
     checks = 0
     failures = []
     with probe_auditor(stats):
-        while arrays < AGREEMENT_ARRAYS:
-            exp = arrays % 7
-            mask = (1 << exp) - 1
-            m = FixedLongMap(mask)
-            pool = []
-            pool_set = set()
-            while len(pool) < 2 * (mask + 1):
-                k = rng.getrandbits(64) - (1 << 63)
-                if is_valid_key(k) and k not in pool_set:
-                    pool_set.add(k)
-                    pool.append(k)
-            for _ in range(min(2 * (mask + 1), 48)):
-                k = pool[rng.randrange(len(pool))]
-                if rng.random() < 0.6:
-                    m.update(k, rng.getrandbits(64) - (1 << 63))
-                else:
-                    m.remove(k)
+        for m, probes in agreement_arrays(AGREEMENT_ARRAYS):
             arrays += 1
-            if arrays % 97 == 0:
-                assert check(m).valid  # spot-check the construction
-            probes = pool[: min(len(pool), 6)]
-            while True:
-                fresh = rng.getrandbits(64) - (1 << 63)
-                if is_valid_key(fresh) and fresh not in pool_set:
-                    probes.append(fresh)
-                    break
             for k in probes:
                 checks += 1
-                msg = seek_agreement_violation(m.keys, m.mask, k)
+                msg = probe_violation(m.keys, m.mask, k)
                 if msg is not None:
-                    failures.append((exp, k, msg))
+                    failures.append((m.mask, k, msg))
     return {"arrays": arrays, "checks": checks, "failures": failures, "audit": stats}
 
 
@@ -303,21 +312,21 @@ def test_criterion_09_growable_decorator():
     growth_checks = []
 
     def factory(mask, default_entry):
-        g = GrowableLongMap(1, default_entry, growth_threshold=0.5)
-        g.grow_listener = lambda old, new: growth_checks.append(
-            snapshot_model(old) == snapshot_model(new)
-        )
-        return g
+        return GrowableLongMap(1, default_entry, growth_threshold=0.5)
+
+    def on_grow(old, new):
+        growth_checks.append(snapshot_model(old) == snapshot_model(new))
 
     total = 0
-    for exp in FUZZ_EXPONENTS:
-        cfg = FuzzConfig(
-            seed=9000 + exp, op_count=OPS_PER_EXPONENT, mask_exponent=exp, sentinel_weight=0.05
-        )
-        mask, ops = generate_trace(cfg)
-        res = run_trace(ops, mask, map_factory=factory, invariant_stride=64, seed=cfg.seed)
-        assert res.ok, f"divergence at exponent {exp}: {res.divergence}"
-        total += res.ops_run
+    with growth_watched(on_grow):
+        for exp in FUZZ_EXPONENTS:
+            cfg = FuzzConfig(
+                seed=9000 + exp, op_count=OPS_PER_EXPONENT, mask_exponent=exp, sentinel_weight=0.05
+            )
+            mask, ops = generate_trace(cfg)
+            res = run_trace(ops, mask, map_factory=factory, invariant_stride=64, seed=cfg.seed)
+            assert res.ok, f"divergence at exponent {exp}: {res.divergence}"
+            total += res.ops_run
     assert total >= 100_000
     assert growth_checks, "no growth events happened"
     assert all(growth_checks)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import longmap
-from longmap import FixedLongMap, to_index
+from longmap import FixedLongMap, is_valid_key, to_index
 from longmap.cli import dump_state, load_state, main, parse_state, save_state, StateParseError
 
 
@@ -91,6 +91,48 @@ def test_replay_missing_file(capsys):
     assert code == 2
 
 
+def test_replay_non_ascii_byte_is_a_parse_error(tmp_path, capsys):
+    trace = tmp_path / "binary.trace"
+    trace.write_bytes(b"mask 3\nU 1 2\n\xff\n")
+    code, _, err = run_cli(capsys, "replay", str(trace))
+    assert code == 2
+    assert err == "parse error: line 3: non-ASCII byte 0xff\n"
+
+
+def test_check_non_ascii_byte_is_a_parse_error(tmp_path, capsys):
+    state = tmp_path / "binary.state"
+    state.write_bytes(b"mask 3\nextra 0 0 0\nslot 1 5 \xe9\n")
+    code, _, err = run_cli(capsys, "check", str(state))
+    assert code == 2
+    assert err == "parse error: line 3: non-ASCII byte 0xe9\n"
+
+
+@pytest.mark.parametrize("flag", ["--emit-trace", "--dump-state"])
+def test_fuzz_unwritable_output_is_an_error(tmp_path, capsys, flag):
+    out = tmp_path / "missing-dir" / "out"
+    code, _, err = run_cli(capsys, "fuzz", "--seed", "1", "--ops", "50", "--mask-exp", "2", flag, str(out))
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_fuzz_unwritable_trace_out_is_an_error(tmp_path, capsys, diverging):
+    out = tmp_path / "missing-dir" / "min.trace"
+    code, _, err = run_cli(
+        capsys, "fuzz", "--seed", "21", "--ops", "500", "--mask-exp", "3", "--trace-out", str(out)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_bench_unwritable_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "bench.json"
+    code, _, err = run_cli(
+        capsys, "bench", "--mask-exp", "4", "--levels", "0.5", "--ops-per-level", "10", "--out", str(out)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_check_accepts_fuzz_built_state(tmp_path, capsys):
     state = tmp_path / "map.state"
     code, _, _ = run_cli(
@@ -149,6 +191,14 @@ def test_state_round_trip(tmp_path):
 def test_parse_state_rejects_duplicate_slot():
     with pytest.raises(StateParseError):
         parse_state("mask 3\nextra 0 0 0\nslot 1 5 5\nslot 1 6 6\n")
+
+
+@pytest.mark.parametrize("slot", ["slot 1 1_1 5", "slot 1 11 5_0", "slot 0_1 11 5", "slot 1 \u0661 5"])
+def test_parse_state_rejects_non_decimal_numbers(slot):
+    # int() accepts digit separators and non-ASCII digits; the format does not.
+    with pytest.raises(StateParseError) as exc:
+        parse_state(f"mask 3\nextra 0 0 0\n{slot}\n")
+    assert exc.value.line_number == 3
 
 
 def test_parse_state_rejects_out_of_range_slot():
@@ -212,17 +262,21 @@ def test_bench_growable_stays_under_threshold(capsys):
             assert float(parts[1]) <= 0.5
 
 
-def test_fuzz_divergence_writes_minimized_trace(tmp_path, capsys, monkeypatch):
-    from longmap import FixedLongMap as RealMap
-    from longmap import is_valid_key
+class DroppedRemoveMap(FixedLongMap):
+    """Reports removing a stored key but keeps it, so a fuzz run diverges."""
 
-    class DroppedRemoveMap(RealMap):
-        def remove(self, key):
-            if is_valid_key(key) and self.contains(key):
-                return True
-            return super().remove(key)
+    def remove(self, key):
+        if is_valid_key(key) and self.contains(key):
+            return True
+        return super().remove(key)
 
+
+@pytest.fixture
+def diverging(monkeypatch):
     monkeypatch.setattr("longmap.conformance.FixedLongMap", DroppedRemoveMap)
+
+
+def test_fuzz_divergence_writes_minimized_trace(tmp_path, capsys, diverging):
     trace_out = tmp_path / "min.trace"
     code, out, _ = run_cli(
         capsys,

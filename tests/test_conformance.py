@@ -12,14 +12,10 @@ from longmap import (
     FixedLongMap,
     GrowableLongMap,
     ListMap,
-    MissingVacant,
-    MissingZero,
     is_valid_key,
     next_probe,
     run_fuzz,
     run_trace,
-    seek_entry,
-    seek_entry_or_open,
     snapshot_model,
     to_index,
 )
@@ -31,8 +27,8 @@ from longmap.conformance import (
     format_trace,
     generate_trace,
     parse_trace,
-    seek_agreement_violation,
 )
+from test_seek import probe_violation
 
 
 def fold_snapshot(m) -> ListMap:
@@ -474,6 +470,9 @@ def test_trace_format_round_trip():
         ("mask 7\nX 1 2\n", 2),
         ("mask 7\nU 1 99999999999999999999999\n", 2),
         ("mask 7\nG abc\n", 2),
+        ("mask 7\nU 1_0 2\n", 2),
+        ("mask 7\nR \u0661\n", 2),
+        ("mask 1_5\n", 1),
     ],
 )
 def test_trace_parse_errors(text, line):
@@ -491,29 +490,26 @@ def test_fuzz_config_validation():
         FuzzConfig(seed=1, op_count=10, mask_exponent=3, sentinel_weight=0.9)
 
 
+# Criterion 6's check of the probe loop against the two-phase reference.
+
+
 def test_seek_agreement_on_empty_array():
-    keys = [0] * 16
-    k = 424242
-    assert seek_entry(k, keys, 15) == MissingZero(to_index(k, 15))
-    assert seek_entry_or_open(k, keys, 15) == MissingZero(to_index(k, 15))
-    assert seek_agreement_violation(keys, 15, k) is None
+    assert probe_violation([0] * 16, 15, 424242) is None
 
 
 def test_seek_agreement_present_key():
     keys = [0] * 16
     k = 424242
     keys[to_index(k, 15)] = k
-    assert seek_agreement_violation(keys, 15, k) is None
+    assert probe_violation(keys, 15, k) is None
 
 
 def test_seek_agreement_tombstone_relabel():
+    # A tombstone at the home slot is the open slot the miss reports.
     k = 424242
     keys = [0] * 16
-    t = to_index(k, 15)
-    keys[t] = LONG_MIN
-    assert seek_entry_or_open(k, keys, 15) == MissingVacant(t)
-    assert seek_entry(k, keys, 15) == MissingZero(t)
-    assert seek_agreement_violation(keys, 15, k) is None
+    keys[to_index(k, 15)] = LONG_MIN
+    assert probe_violation(keys, 15, k) is None
 
 
 def test_seek_agreement_over_generated_maps():
@@ -521,4 +517,4 @@ def test_seek_agreement_over_generated_maps():
         m, pool = build_map(7, 40, seed=900 + seed)
         for k in pool:
             if is_valid_key(k):
-                assert seek_agreement_violation(m.keys, m.mask, k) is None
+                assert probe_violation(m.keys, m.mask, k) is None

@@ -1,11 +1,13 @@
 """Invariant checker: helper recursions, the report, corruption detection."""
 
 import random
+from array import array
 
 from hypothesis import given, strategies as st
 
-from longmap import LONG_MIN, FixedLongMap, Found, is_valid_key, seek_entry_or_open, to_index
-from longmap.invariants import all_keys_seekable, check, count_valid_keys
+from longmap import LONG_MIN, FixedLongMap, is_valid_key, to_index
+from longmap.core import FOUND, _probe
+from longmap.invariants import check, count_valid_keys
 
 
 def test_is_valid_key():
@@ -16,9 +18,9 @@ def test_is_valid_key():
 
 
 def test_count_valid_keys():
-    assert count_valid_keys([0, 0, 0], 0, 3) == 0
-    assert count_valid_keys([0, 7, LONG_MIN, 3], 0, 4) == 2
-    assert count_valid_keys([0, 7, LONG_MIN, 3], 2, 4) == 1
+    assert count_valid_keys([0, 0, 0]) == 0
+    assert count_valid_keys([0, 7, LONG_MIN, 3]) == 2
+    assert count_valid_keys(array("q", [LONG_MIN, 3])) == 1
 
 
 keys_arrays = st.lists(
@@ -30,24 +32,28 @@ keys_arrays = st.lists(
 @given(keys_arrays, st.data())
 def test_count_is_additive_over_splits(a, data):
     mid = data.draw(st.integers(min_value=0, max_value=len(a)))
-    assert count_valid_keys(a, 0, len(a)) == count_valid_keys(a, 0, mid) + count_valid_keys(
-        a, mid, len(a)
-    )
+    assert count_valid_keys(a) == count_valid_keys(a[:mid]) + count_valid_keys(a[mid:])
+
+
+def seekable(keys, mask):
+    """The invariant's seekability verdict on a map holding ``keys``."""
+    m = FixedLongMap.unchecked(mask, keys, [0] * len(keys), count_valid_keys(keys), 0, 0, 0)
+    return check(m).all_keys_seekable
 
 
 def test_all_keys_seekable_vacuous_and_placed():
-    assert all_keys_seekable([0] * 16, 15)
+    assert seekable([0] * 16, 15)
     k = 987654321
     keys = [0] * 16
     keys[to_index(k, 15)] = k
-    assert all_keys_seekable(keys, 15)
+    assert seekable(keys, 15)
 
 
 def test_displaced_key_is_not_seekable():
     k = 987654321
     keys = [0] * 16
     keys[(to_index(k, 15) + 1) & 15] = k  # home slot stays 0, probe stops there
-    assert not all_keys_seekable(keys, 15)
+    assert not seekable(keys, 15)
 
 
 def test_check_fresh_map_is_valid():
@@ -125,10 +131,10 @@ def test_seekable_implies_missing_means_absent():
             m.update(k, 1)
         else:
             m.remove(k)
-    assert all_keys_seekable(m.keys, m.mask)
+    assert check(m).all_keys_seekable
     for k in pool:
-        res = seek_entry_or_open(k, m.keys, m.mask)
-        if not isinstance(res, Found):
+        kind, i, _ = _probe(k, m.keys, m.mask)
+        if kind != FOUND:
             assert k not in set(m.keys)
         else:
-            assert m.keys[res.index] == k
+            assert m.keys[i] == k

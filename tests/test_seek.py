@@ -1,21 +1,12 @@
-"""Probe-loop semantics: both seek phases, the two public seeks, the 2048 cap."""
+"""Probe-loop semantics: both seek phases of the paper, the 2048 cap, and
+the two-phase reference walk that criterion 6 checks the loop against."""
 
 import random
 
 import pytest
 
-from longmap import (
-    LONG_MIN,
-    MAX_PROBES,
-    Found,
-    MissingVacant,
-    MissingZero,
-    Undefined,
-    next_probe,
-    seek_entry,
-    seek_entry_or_open,
-    to_index,
-)
+import longmap.core as core
+from longmap import LONG_MIN, MAX_PROBES, FixedLongMap, next_probe, to_index
 from longmap.core import FOUND, MISSING_VACANT, MISSING_ZERO, UNDEFINED, _probe
 
 K = 741776177  # arbitrary valid key
@@ -58,80 +49,57 @@ def test_phase_two_undefined_without_key_or_zero():
     assert _probe(K, [LONG_MIN, K + 1], 1) == (UNDEFINED, -1, MAX_PROBES)
 
 
+# The paper's seekEntry (hit or miss) and seekEntryOrOpen (hit, or the slot
+# an insert takes), both answered by the one loop.
+
+
 def test_seek_entry_all_zero():
-    keys = [0] * 16
-    assert seek_entry(K, keys, 15) == MissingZero(to_index(K, 15))
+    # On an empty table every key misses at its home slot, at every capacity.
+    for exp in range(12):
+        mask = (1 << exp) - 1
+        keys = [0] * (mask + 1)
+        for k in (K, -K, 1, LONG_MIN + 1):
+            assert _probe(k, keys, mask) == (MISSING_ZERO, to_index(k, mask), 0)
 
 
 def test_seek_entry_found_at_home_slot():
-    keys = [0] * 16
-    t = to_index(K, 15)
-    keys[t] = K
-    assert seek_entry(K, keys, 15) == Found(t)
-
-
-def test_seek_entry_relabels_vacant_with_tombstone_index():
-    # Tombstone at the home slot, 0 right after: the miss carries the
-    # tombstone's index, which callers must not rely on.
-    keys = [0] * 16
-    t = to_index(K, 15)
-    keys[t] = LONG_MIN
-    assert next_probe(t, 1, 15) == (t + 1) & 15
-    assert seek_entry(K, keys, 15) == MissingZero(t)
+    # A key in its home slot is found at once, however full the rest is.
+    for exp in range(12):
+        mask = (1 << exp) - 1
+        keys = [K + 1] * (mask + 1)
+        t = to_index(K, mask)
+        keys[t] = K
+        assert _probe(K, keys, mask) == (FOUND, t, 0)
 
 
 def test_seek_entry_or_open_all_zero():
-    keys = [0] * 16
-    assert seek_entry_or_open(K, keys, 15) == MissingZero(to_index(K, 15))
+    # The open slot of an empty table is the home slot, and update fills it.
+    m = FixedLongMap(15)
+    assert m.update(K, 5)
+    assert m.keys[to_index(K, 15)] == K
+    assert m.array_size == 1
 
 
 def test_seek_entry_or_open_remembers_first_tombstone():
+    # Two tombstones before the 0: the open slot is the first of them.
     keys = [0] * 16
     t = to_index(K, 15)
-    keys[t] = LONG_MIN
-    assert seek_entry_or_open(K, keys, 15) == MissingVacant(t)
+    keys[t] = keys[next_probe(t, 1, 15)] = LONG_MIN
+    assert _probe(K, keys, 15) == (MISSING_VACANT, t, 2)
 
 
 def test_seek_entry_or_open_finds_key_after_tombstone():
+    # Past a tombstone the second phase skips foreign keys too.
     keys = [0] * 16
     t = to_index(K, 15)
-    nxt = next_probe(t, 1, 15)
-    keys[t] = LONG_MIN
-    keys[nxt] = K
-    assert seek_entry_or_open(K, keys, 15) == Found(nxt)
+    second = next_probe(t, 1, 15)
+    third = next_probe(second, 2, 15)
+    keys[t], keys[second], keys[third] = LONG_MIN, K + 1, K
+    assert _probe(K, keys, 15) == (FOUND, third, 2)
 
 
 def test_both_seeks_undefined_on_full_foreign_map():
-    keys = [K + 1, K + 2]
-    assert seek_entry(K, keys, 1) == Undefined()
-    assert seek_entry_or_open(K, keys, 1) == Undefined()
-
-
-def seek_entry_traced(k, keys, mask):
-    """``seek_entry`` together with the iteration count ``_probe`` spent."""
-    return seek_entry(k, keys, mask), _probe(k, keys, mask)[2]
-
-
-def seek_entry_or_open_traced(k, keys, mask):
-    """``seek_entry_or_open`` together with the iteration count ``_probe`` spent."""
-    return seek_entry_or_open(k, keys, mask), _probe(k, keys, mask)[2]
-
-
-@pytest.mark.parametrize("seek", [seek_entry_traced, seek_entry_or_open_traced])
-def test_traced_iterations_hit_bound_exactly_on_undefined(seek):
-    res, iters = seek(K, [K + 1], 0)
-    assert res == Undefined()
-    assert iters == MAX_PROBES
-
-
-@pytest.mark.parametrize("seek", [seek_entry_traced, seek_entry_or_open_traced])
-def test_traced_iterations_zero_for_home_slot_hit(seek):
-    keys = [0] * 16
-    t = to_index(K, 15)
-    keys[t] = K
-    res, iters = seek(K, keys, 15)
-    assert res == Found(t)
-    assert iters == 0
+    assert _probe(K, [K + 1, K + 2], 1) == (UNDEFINED, -1, MAX_PROBES)
 
 
 def test_counter_carries_across_phases():
@@ -155,11 +123,12 @@ def test_first_capacity_probes_visit_every_slot_once(exp):
 
 
 def test_undefined_never_for_reachable_key():
-    keys = [0] * 4
-    t = to_index(K, 3)
-    keys[t] = K
-    for probe in (seek_entry, seek_entry_or_open):
-        assert probe(K, keys, 3) == Found(t)
+    # On a table with no 0 and no tombstone a stored key is found in any slot.
+    for j in range(4):
+        keys = [K + 1, K + 2, K + 3, K + 4]
+        keys[j] = K
+        kind, index, _ = _probe(K, keys, 3)
+        assert (kind, index) == (FOUND, j)
 
 
 def two_phase_probe(k, keys, mask):
@@ -195,6 +164,26 @@ def two_phase_probe(k, keys, mask):
     return UNDEFINED, -1, x
 
 
+def probe_violation(keys, mask, k):
+    """Why ``core._probe`` is wrong for ``k`` on ``keys``, or None.
+
+    Criterion 6's check: one call of the loop must equal the two-phase
+    reference, the slot it names must hold ``k``, 0 or LONG_MIN as its
+    kind says, and on any miss ``k`` must be absent from the array.
+    """
+    got = core._probe(k, keys, mask)  # through the module, for the auditor
+    want = two_phase_probe(k, keys, mask)
+    if got != want:
+        return f"_probe({k}) = {got}, two-phase reference {want}"
+    kind, i, _ = got
+    held = {FOUND: k, MISSING_ZERO: 0, MISSING_VACANT: LONG_MIN}
+    if kind in held and keys[i] != held[kind]:
+        return f"_probe({k}) = {got} but slot {i} holds {keys[i]}"
+    if kind != FOUND and k in keys:
+        return f"_probe({k}) = {got} but the key is in the array"
+    return None
+
+
 def test_probe_matches_two_phase_reference():
     rng = random.Random(2107)
     kinds = dict.fromkeys((FOUND, MISSING_ZERO, MISSING_VACANT, UNDEFINED), 0)
@@ -220,15 +209,7 @@ def test_probe_matches_two_phase_reference():
         for k in probes:
             want = two_phase_probe(k, keys, mask)
             assert _probe(k, keys, mask) == want, (k, keys, mask)
-            kind, i, _ = want
-            kinds[kind] += 1
+            kinds[want[0]] += 1
             seeks += 1
-            relabeled = {
-                FOUND: Found(i),
-                MISSING_ZERO: MissingZero(i),
-                MISSING_VACANT: MissingZero(i),
-                UNDEFINED: Undefined(),
-            }
-            assert seek_entry(k, keys, mask) == relabeled[kind]
     assert seeks >= 30_000
     assert all(n >= 500 for n in kinds.values()), kinds
