@@ -1,5 +1,6 @@
 """Fixed-capacity open-addressing map for 64-bit integer keys, with its
-reference model, invariant checker, growth decorator and fuzzing harness."""
+reference model, invariant checker, a FixedLongMap that reallocates its own
+arrays, and the fuzzing harness."""
 
 from .core import (
     LONG_MIN,

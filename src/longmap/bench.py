@@ -122,8 +122,6 @@ def run_bench(
 def _measure_level(
     m, target: float, present: list, stored: dict, taken: set, ops_per_level: int, rng
 ) -> LevelStats:
-    inner = getattr(m, "inner", m)
-
     def pick_present() -> Optional[int]:
         return present[rng.randrange(len(present))] if present else None
 
@@ -166,7 +164,7 @@ def _measure_level(
     histogram: dict[int, int] = {}
     probes_total = 0
     measured = 0
-    keys_arr, msk = inner.keys, inner.mask
+    keys_arr, msk = m.keys, m.mask
     for k in get_keys + update_keys + [k for k, _ in remove_keys]:
         _, _, iters = _probe(k, keys_arr, msk)
         histogram[iters + 1] = histogram.get(iters + 1, 0) + 1
@@ -176,7 +174,7 @@ def _measure_level(
     latency = {"get": _latency(get_ns), "update": _latency(update_ns), "remove": _latency(remove_ns)}
     return LevelStats(
         target_occupancy=target,
-        achieved_occupancy=inner.array_size / inner.capacity,
+        achieved_occupancy=m.array_size / m.capacity,
         measured_ops=measured,
         mean_probe_length=probes_total / measured if measured else 0.0,
         probe_histogram=histogram,

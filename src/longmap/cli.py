@@ -9,6 +9,7 @@ given identical flags and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -17,7 +18,9 @@ from .bench import BenchReport, run_bench
 from .conformance import (
     FuzzConfig,
     TraceParseError,
+    _shrink_trace,
     equivalence_violation,
+    format_trace,
     generate_trace,
     parse_int,
     read_ascii,
@@ -25,7 +28,7 @@ from .conformance import (
     run_trace,
     write_trace,
 )
-from .core import MAX_MASK, FixedLongMap
+from .core import LONG_MAX, LONG_MIN, MAX_MASK, MAX_MASK_EXPONENT, FixedLongMap
 from .growable import GrowableLongMap
 from .invariants import check as check_invariant, count_valid_keys
 
@@ -44,11 +47,6 @@ def dump_state(m: FixedLongMap) -> str:
         if k != 0 or v != 0:
             lines.append(f"slot {i} {k} {v}")
     return "\n".join(lines) + "\n"
-
-
-def save_state(m: FixedLongMap, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(dump_state(m))
 
 
 def parse_state(text: str) -> FixedLongMap:
@@ -92,11 +90,13 @@ def load_state(path) -> FixedLongMap:
     return parse_state(read_ascii(path, StateParseError))
 
 
-def _mask_exp(value: str) -> int:
-    n = int(value)
-    if not 0 <= n <= 30:
-        raise argparse.ArgumentTypeError(f"mask exponent must be in 0..30, got {n}")
-    return n
+def _int_flag(text: str, what: str = "value", lo: int = LONG_MIN, hi: int = LONG_MAX) -> int:
+    """A decimal flag read as the file formats read numbers; argparse exits 2 on a bad one."""
+    return parse_int(text, 0, what, lambda _, message: argparse.ArgumentTypeError(message), lo, hi)
+
+
+def _mask_exp(text: str) -> int:
+    return _int_flag(text, "mask exponent", 0, MAX_MASK_EXPONENT)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fuzz", help="run a differential fuzz trace against the model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ops", type=int, default=10000)
+    p.add_argument("--seed", type=_int_flag, default=0)
+    p.add_argument("--ops", type=_int_flag, default=10000)
     p.add_argument("--mask-exp", type=_mask_exp, required=True)
     p.add_argument("--sentinel-weight", type=float, default=0.05)
-    p.add_argument("--pool", type=int, default=None, help="key pool size (default 2x capacity)")
+    p.add_argument("--pool", type=_int_flag, default=None, help="key pool size (default 2x capacity)")
     p.add_argument("--growable", action="store_true", help="drive a growable map (start exponent 1)")
     p.add_argument("--trace-out", default="divergence.trace", help="minimized trace on divergence")
     p.add_argument("--emit-trace", default=None, help="write the generated trace to this path")
@@ -123,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="occupancy-factor benchmark")
     p.add_argument("--mask-exp", type=_mask_exp, required=True)
     p.add_argument("--levels", default="0.1,0.25,0.5,0.7,0.9")
-    p.add_argument("--ops-per-level", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ops-per-level", type=_int_flag, default=2000)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--growable", action="store_true")
     p.add_argument("--out", default=None, help="write the report as JSON to this path")
 
@@ -156,35 +156,36 @@ def cmd_fuzz(args) -> int:
     if args.emit_trace:
         write_trace(args.emit_trace, mask, ops)
 
-    kwargs = {"seed": cfg.seed}
-    if args.growable:
-        kwargs["map_factory"] = _growable_factory
-        kwargs["invariant_stride"] = 64
-    result = run_trace(ops, mask, **kwargs)
+    kwargs = {"map_factory": _growable_factory, "invariant_stride": 64} if args.growable else {}
+    with contextlib.ExitStack() as files:
+        # Output paths are opened before the work they record, so one that
+        # cannot be opened costs no fuzzing or minimization.
+        if args.dump_state:
+            state_out = files.enter_context(open(args.dump_state, "w", encoding="ascii"))
+        result = run_trace(ops, mask, shrink=False, seed=cfg.seed, **kwargs)
 
-    print(f"seed {cfg.seed}")
-    print(f"mask-exponent {cfg.mask_exponent}")
-    print(f"mode {'growable' if args.growable else 'fixed'}")
-    print(f"ops {result.ops_run}")
-    counts = " ".join(f"{k}={result.counts.get(k, 0)}" for k in ("U", "R", "G", "C"))
-    print(f"counts {counts}")
-    print(f"invariant-checks {result.invariant_checks}")
-    print(f"equivalence-checks {result.equivalence_checks}")
-    print(f"final-size {result.final_size}")
+        print(f"seed {cfg.seed}")
+        print(f"mask-exponent {cfg.mask_exponent}")
+        print(f"mode {'growable' if args.growable else 'fixed'}")
+        print(f"ops {result.ops_run}")
+        counts = " ".join(f"{k}={result.counts.get(k, 0)}" for k in ("U", "R", "G", "C"))
+        print(f"counts {counts}")
+        print(f"invariant-checks {result.invariant_checks}")
+        print(f"equivalence-checks {result.equivalence_checks}")
+        print(f"final-size {result.final_size}")
+        if args.dump_state:
+            state_out.write(dump_state(result.final_map))
 
-    if args.dump_state:
-        final = getattr(result.final_map, "inner", result.final_map)
-        save_state(final, args.dump_state)
-
-    if result.divergence is None:
-        print("result OK")
-        return 0
-    d = result.divergence
-    print(f"result DIVERGENCE at op {d.op_index}: {d.message}")
-    minimized = result.minimized or []
-    write_trace(args.trace_out, mask, minimized)
-    print(f"minimized {len(minimized)} ops -> {args.trace_out}")
-    return 1
+        if result.divergence is None:
+            print("result OK")
+            return 0
+        d = result.divergence
+        print(f"result DIVERGENCE at op {d.op_index}: {d.message}")
+        trace_out = files.enter_context(open(args.trace_out, "w", encoding="ascii"))
+        minimized = _shrink_trace(ops[: d.op_index + 1], mask, **kwargs)
+        trace_out.write(format_trace(mask, minimized))
+        print(f"minimized {len(minimized)} ops -> {args.trace_out}")
+        return 1
 
 
 def cmd_replay(args) -> int:

@@ -217,7 +217,6 @@ def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     """
     if not is_valid_key(k):
         return f"{name}({k}) returned False for a sentinel key"
-    m = getattr(m, "inner", m)
     keys, mask = m.keys, m.mask
     home = to_index(k, mask)
     for d in _probe_offsets(mask):
@@ -242,20 +241,20 @@ class _VerifiedState:
     """Copy of the last map state that ``equivalence_violation`` accepted.
 
     Holds the key and value arrays, the slot of each live key in them and
-    the inner map they were taken from. ``accepts`` then verifies an op by
+    the key array they were copied from. ``accepts`` then verifies an op by
     the slots it touched instead of the whole array.
     """
 
-    __slots__ = ("inner", "keys", "values", "slot_of")
+    __slots__ = ("source", "keys", "values", "slot_of")
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.keys = array("q", inner.keys)
-        self.values = array("q", inner.values)
-        self.slot_of = {k: i for i, k in enumerate(inner.keys) if k != 0 and k != LONG_MIN}
+    def __init__(self, m):
+        self.source = m.keys
+        self.keys = array("q", m.keys)
+        self.values = array("q", m.values)
+        self.slot_of = {k: i for i, k in enumerate(m.keys) if k != 0 and k != LONG_MIN}
 
-    def accepts(self, inner, model: ListMap, k: int) -> bool:
-        """True iff equivalence of ``inner`` with ``model`` after an op on ``k``
+    def accepts(self, m, model: ListMap, k: int) -> bool:
+        """True iff equivalence of ``m`` with ``model`` after an op on ``k``
         follows from the copy's plus the change the op made.
 
         The change may touch only the slot holding ``k`` in the copy and the
@@ -263,12 +262,13 @@ class _VerifiedState:
         them only ever holding 0, LONG_MIN or ``k``; every other slot must
         equal the copy. The model changed at ``k`` alone, so it suffices
         that ``k`` is held exactly when the model holds it, with the model's
-        value, and that the sentinel fields agree. On True the copy takes
-        the change; on False it is stale and the full check decides.
+        value, and that the sentinel fields agree. A reallocated table never
+        passes. On True the copy takes the change; on False it is stale and
+        the full check decides.
         """
-        keys, values = inner.keys, inner.values
+        keys, values = m.keys, m.values
         old_keys, old_values = self.keys, self.values
-        if inner is not self.inner or len(keys) != len(old_keys) or not _sentinels_agree(inner, model):
+        if keys is not self.source or len(keys) != len(old_keys) or not _sentinels_agree(m, model):
             return False
         if k == 0 or k == LONG_MIN:
             return keys == old_keys and values == old_values
@@ -376,18 +376,17 @@ def run_trace(
     for idx, op in enumerate(ops):
         counts[op.kind] = counts.get(op.kind, 0) + 1
         model, msg = _apply_checked(m, model, op, default_entry)
-        inner = getattr(m, "inner", m)
         if msg is None:
             eq_checks += 1
-            if verified is None or not verified.accepts(inner, model, op.key):
-                eq = equivalence_violation(inner, model)
+            if verified is None or not verified.accepts(m, model, op.key):
+                eq = equivalence_violation(m, model)
                 if eq is not None:
                     msg = f"snapshot != model: {eq}"
                 else:
-                    verified = _VerifiedState(inner)
+                    verified = _VerifiedState(m)
         if msg is None and (idx + 1) % invariant_stride == 0:
             inv_checks += 1
-            report = check_invariant(inner)
+            report = check_invariant(m)
             if not report.valid:
                 msg = f"invariant violated: {report.first_violation}"
         if msg is not None:

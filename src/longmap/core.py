@@ -262,4 +262,4 @@ class FixedLongMap:
         return self.contains(key)
 
     def __repr__(self) -> str:
-        return f"FixedLongMap(size={self.size}, capacity={self.capacity})"
+        return f"{type(self).__name__}(size={self.size}, capacity={self.capacity})"

@@ -56,7 +56,7 @@ MUTANTS = (
         "growth-drops-a-pair",
         growable.GrowableLongMap,
         "_grow",
-        {"live_pairs(old)": "live_pairs(old)[1:]"},
+        {"live_pairs(self)": "live_pairs(self)[1:]"},
         map_factory=_growable_from_one,
     ),
     Mutant("probe-step-off-by-one", core, "_probe", {"* x - 3)": "* x - 2)"}),

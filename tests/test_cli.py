@@ -9,7 +9,8 @@ import pytest
 
 import longmap
 from longmap import FixedLongMap, is_valid_key, to_index
-from longmap.cli import dump_state, load_state, main, parse_state, save_state, StateParseError
+import longmap.cli as cli
+from longmap.cli import dump_state, load_state, main, parse_state, StateParseError
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,27 @@ def test_fuzz_rejects_mask_exponent_31(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--seed", "1", "--ops", "10", "--mask-exp", "31"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--mask-exp", "0_3", "--ops", "10"],
+        ["fuzz", "--mask-exp", "3", "--ops", "1_0"],
+        ["fuzz", "--mask-exp", "3", "--seed", "1_0"],
+        ["fuzz", "--mask-exp", "3", "--pool", "1_6"],
+        ["fuzz", "--mask-exp", "\u0663"],
+        ["bench", "--mask-exp", "4", "--ops-per-level", "1_0"],
+    ],
+)
+def test_integer_flags_refuse_what_the_file_formats_refuse(capsys, argv):
+    # int() takes digit separators and non-ASCII digits; the flags do not.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "is not a signed decimal" in err[-1]
+    assert sum("error" in line for line in err) == 1
 
 
 def test_fuzz_rejects_bad_sentinel_weight(capsys):
@@ -108,14 +130,18 @@ def test_check_non_ascii_byte_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--emit-trace", "--dump-state"])
-def test_fuzz_unwritable_output_is_an_error(tmp_path, capsys, flag):
+def test_fuzz_unwritable_output_is_an_error(tmp_path, capsys, monkeypatch, flag):
+    # The path is opened before the run, which must not start.
+    monkeypatch.setattr(cli, "run_trace", lambda *a, **kw: pytest.fail("fuzzed before opening the output"))
     out = tmp_path / "missing-dir" / "out"
     code, _, err = run_cli(capsys, "fuzz", "--seed", "1", "--ops", "50", "--mask-exp", "2", flag, str(out))
     assert code == 2
     assert err.startswith("error: ") and str(out) in err
 
 
-def test_fuzz_unwritable_trace_out_is_an_error(tmp_path, capsys, diverging):
+def test_fuzz_unwritable_trace_out_is_an_error(tmp_path, capsys, monkeypatch, diverging):
+    # The path is opened on divergence, before minimization starts.
+    monkeypatch.setattr(cli, "_shrink_trace", lambda *a, **kw: pytest.fail("minimized before opening the output"))
     out = tmp_path / "missing-dir" / "min.trace"
     code, _, err = run_cli(
         capsys, "fuzz", "--seed", "21", "--ops", "500", "--mask-exp", "3", "--trace-out", str(out)
@@ -133,14 +159,22 @@ def test_bench_unwritable_out_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err
 
 
-def test_check_accepts_fuzz_built_state(tmp_path, capsys):
+@pytest.mark.parametrize("growable", [False, True], ids=["fixed", "growable"])
+def test_check_accepts_fuzz_built_state(tmp_path, capsys, monkeypatch, growable):
     state = tmp_path / "map.state"
-    code, _, _ = run_cli(
-        capsys,
-        "fuzz", "--seed", "11", "--ops", "700", "--mask-exp", "4",
-        "--dump-state", str(state),
-    )
+    argv = ["fuzz", "--seed", "11", "--ops", "700", "--mask-exp", "4", "--dump-state", str(state)]
+    grown = []
+    if growable:
+        argv.append("--growable")
+        factory = cli._growable_factory
+        monkeypatch.setattr(cli, "_growable_factory", lambda *a: grown.append(factory(*a)) or grown[-1])
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
+    # A growable map is dumped at the capacity it grew to, not the trace's.
+    mask = grown[0].capacity - 1 if growable else 15
+    assert state.read_text().splitlines()[0] == f"mask {mask}"
+    if growable:
+        assert mask > 15
     code, out, _ = run_cli(capsys, "check", str(state))
     assert code == 0
     assert "valid true" in out
@@ -179,7 +213,7 @@ def test_state_round_trip(tmp_path):
     m.update(0, 7)
     m.remove(-9)  # leaves a tombstone slot in the dump
     path = tmp_path / "rt.state"
-    save_state(m, path)
+    path.write_text(dump_state(m))
     m2 = load_state(path)
     assert list(m2.keys) == list(m.keys)
     assert list(m2.values) == list(m.values)

@@ -1,4 +1,4 @@
-"""Growth decorator: trigger arithmetic, model preservation, the ceiling."""
+"""Growable map: trigger arithmetic, model preservation, the ceiling."""
 
 import random
 from contextlib import contextmanager
@@ -15,14 +15,23 @@ from longmap.invariants import check
 @contextmanager
 def growth_watched(on_grow):
     """Wrap ``GrowableLongMap._grow`` for the length of the block so that
-    every growth of any growable map calls ``on_grow(old, new)`` with the
-    inner maps from before and after it."""
+    every growth of any growable map calls ``on_grow(old, new)`` with a copy
+    of the map from before it and the map itself after it."""
     grow = GrowableLongMap._grow
 
     def watched(self):
-        old = self.inner
+        old = FixedLongMap.unchecked(
+            self.mask,
+            self.keys,
+            self.values,
+            self.array_size,
+            self.extra_keys,
+            self.zero_value,
+            self.min_value,
+            self.default_entry,
+        )
         grow(self)
-        on_grow(old, self.inner)
+        on_grow(old, self)
 
     GrowableLongMap._grow = watched
     try:
@@ -35,9 +44,9 @@ def test_third_distinct_key_triggers_growth():
     g = GrowableLongMap(3)  # capacity 4, threshold 0.5
     assert g.update(11, 1)
     assert g.update(22, 2)
-    assert g.inner.mask == 3 and g.growth_count == 0
+    assert g.mask == 3 and g.growth_count == 0
     assert g.update(33, 3)
-    assert g.inner.mask == 7
+    assert g.mask == 7
     assert g.growth_count == 1
     assert g.size == 3
 
@@ -91,7 +100,7 @@ def test_growth_preserves_model_and_seekability():
     assert len(snapshots) == g.growth_count
     for before, after in snapshots:
         assert before == after
-    assert check(g.inner).valid
+    assert check(g).valid
 
 
 def test_growth_lays_out_pairs_in_ascending_key_order():
@@ -134,8 +143,7 @@ def test_occupancy_bounded_after_updates():
     for i in range(200):
         k = rng.getrandbits(62) + 1
         assert g.update(k, i)
-        inner = g.inner
-        assert inner.array_size <= 0.5 * inner.capacity or not g._can_grow()
+        assert g.array_size <= 0.5 * g.capacity or not g._can_grow()
 
 
 def test_capacity_ceiling(monkeypatch):
@@ -145,9 +153,9 @@ def test_capacity_ceiling(monkeypatch):
     for i, k in enumerate(keys):
         assert g.update(k, i)
     assert g.capacity == 4
-    before = snapshot_model(g.inner)
+    before = snapshot_model(g)
     assert not g.update(55, 5)
-    assert snapshot_model(g.inner) == before
+    assert snapshot_model(g) == before
     # Sentinels still fit beside a maxed-out array.
     assert g.update(0, 7)
     assert g.size == 5

@@ -1,9 +1,10 @@
 """Package layering: which modules of longmap may import which.
 
 The map (``core``) and the reference model (``listmap``) stand alone; the
-growth decorator and the invariant build on the map only. None of them
-imports the test harness (``conformance``) or anything above it. Nor does
-the package keep a public name that neither it nor its exports use.
+growable map (a ``FixedLongMap`` that reallocates its own arrays) and the
+invariant build on the map only. None of them imports the test harness
+(``conformance``) or anything above it. Nor does the package keep a public
+name that neither it nor its exports use.
 """
 
 import ast
