@@ -159,25 +159,31 @@ def test_bench_unwritable_out_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err
 
 
-@pytest.mark.parametrize("growable", [False, True], ids=["fixed", "growable"])
-def test_check_accepts_fuzz_built_state(tmp_path, capsys, monkeypatch, growable):
+def _fuzz_dump_and_check(tmp_path, capsys, *extra):
     state = tmp_path / "map.state"
-    argv = ["fuzz", "--seed", "11", "--ops", "700", "--mask-exp", "4", "--dump-state", str(state)]
-    grown = []
-    if growable:
-        argv.append("--growable")
-        factory = cli._growable_factory
-        monkeypatch.setattr(cli, "_growable_factory", lambda *a: grown.append(factory(*a)) or grown[-1])
+    argv = ["fuzz", "--seed", "11", "--ops", "700", "--mask-exp", "4", "--dump-state", str(state), *extra]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    # A growable map is dumped at the capacity it grew to, not the trace's.
-    mask = grown[0].capacity - 1 if growable else 15
-    assert state.read_text().splitlines()[0] == f"mask {mask}"
-    if growable:
-        assert mask > 15
+    mask_line = state.read_text().splitlines()[0]
     code, out, _ = run_cli(capsys, "check", str(state))
     assert code == 0
     assert "valid true" in out
+    return mask_line
+
+
+def test_check_accepts_fuzz_built_state(tmp_path, capsys):
+    assert _fuzz_dump_and_check(tmp_path, capsys) == "mask 15"
+
+
+def test_check_accepts_growable_fuzz_built_state(tmp_path, capsys, monkeypatch):
+    grown = []
+    factory = cli._growable_factory
+    monkeypatch.setattr(cli, "_growable_factory", lambda *a: grown.append(factory(*a)) or grown[-1])
+    mask_line = _fuzz_dump_and_check(tmp_path, capsys, "--growable")
+    # A growable map is dumped at the capacity it grew to, not the trace's.
+    mask = grown[0].capacity - 1
+    assert mask > 15
+    assert mask_line == f"mask {mask}"
 
 
 def test_check_detects_duplicate_key(tmp_path, capsys):
