@@ -83,7 +83,8 @@ def parse_state(text: str) -> FixedLongMap:
         values[i] = parse_int(parts[3], ln, "value", StateParseError)
 
     array_size = count_valid_keys(keys)
-    return FixedLongMap.unchecked(mask, keys, values, array_size, extra_keys, zero_value, min_value)
+    tombstones = keys.count(LONG_MIN)
+    return FixedLongMap.unchecked(mask, keys, values, array_size, tombstones, extra_keys, zero_value, min_value)
 
 
 def load_state(path) -> FixedLongMap:

@@ -218,6 +218,10 @@ def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     if not is_valid_key(k):
         return f"{name}({k}) returned False for a sentinel key"
     keys, mask = m.keys, m.mask
+    # Below MAX_PROBES slots the budget covers every slot, so two scans at C
+    # speed decide; only a violation needs the walk that names its slot.
+    if mask < MAX_PROBES and k not in keys and 0 not in keys:
+        return None
     home = to_index(k, mask)
     for d in _probe_offsets(mask):
         i = (home + d) & mask

@@ -6,7 +6,8 @@ quadratic probing. Two key values are unrepresentable in the key array
 because they mark slot states: 0 means "never used" and LONG_MIN marks a
 tombstone (a slot whose key was removed). Mappings for the keys 0 and
 LONG_MIN therefore live in side fields (``extra_keys`` bits 0/1 plus
-``zero_value`` / ``min_value``).
+``zero_value`` / ``min_value``). The map counts its tombstones in
+``tombstones``.
 
 The probe loop gives up after ``MAX_PROBES`` slot inspections and reports
 UNDEFINED; ``update`` surfaces this as a ``False`` return instead of
@@ -119,6 +120,7 @@ class FixedLongMap:
         "keys",
         "values",
         "array_size",
+        "tombstones",
         "extra_keys",
         "zero_value",
         "min_value",
@@ -134,6 +136,7 @@ class FixedLongMap:
         self.keys = array("q", bytes(8 * (mask + 1)))
         self.values = array("q", bytes(8 * (mask + 1)))
         self.array_size = 0
+        self.tombstones = 0
         self.extra_keys = 0
         self.zero_value = 0
         self.min_value = 0
@@ -146,6 +149,7 @@ class FixedLongMap:
         keys,
         values,
         array_size: int,
+        tombstones: int,
         extra_keys: int,
         zero_value: int,
         min_value: int,
@@ -161,6 +165,7 @@ class FixedLongMap:
         m.keys = array("q", keys)
         m.values = array("q", values)
         m.array_size = array_size
+        m.tombstones = tombstones
         m.extra_keys = extra_keys
         m.zero_value = zero_value
         m.min_value = min_value
@@ -218,9 +223,16 @@ class FixedLongMap:
             return True
         if kind == UNDEFINED:
             return False
-        # MISSING_ZERO or MISSING_VACANT: i is the slot to fill. A key or
-        # value array('q') cannot hold raises; the key store is undone so
-        # the map is left unchanged.
+        self._fill(kind, i, key, value)
+        return True
+
+    def _fill(self, kind: int, i: int, key: int, value: int) -> None:
+        """Store the absent ``key -> value`` in slot ``i``, which ``_probe``
+        reported as ``kind`` (MISSING_ZERO or MISSING_VACANT).
+
+        A key or value array('q') cannot hold raises; the key store is undone
+        so the map is left unchanged.
+        """
         keys = self.keys
         keys[i] = key
         try:
@@ -229,7 +241,8 @@ class FixedLongMap:
             keys[i] = 0 if kind == MISSING_ZERO else LONG_MIN
             raise
         self.array_size += 1
-        return True
+        if kind == MISSING_VACANT:
+            self.tombstones -= 1
 
     def remove(self, key: int) -> bool:
         """Remove ``key`` if present; removing an absent key is a no-op.
@@ -252,6 +265,7 @@ class FixedLongMap:
             self.keys[i] = LONG_MIN
             self.values[i] = 0
             self.array_size -= 1
+            self.tombstones += 1
             return True
         return kind != UNDEFINED
 

@@ -1,11 +1,12 @@
 """Executable class invariant for FixedLongMap, usable as a test oracle.
 
 ``check`` evaluates the shallow bookkeeping conditions plus three deep
-conditions over the key array: the valid-key count matches the stored size,
-every stored key is reachable by its own probe sequence, and no valid key is
-duplicated. It accepts arbitrary (including corrupt) states and reports
-rather than raises; full evaluation may cost O(n * MAX_PROBES), so gate it
-behind debug paths in production code.
+conditions over the key array: the valid-key and tombstone counts match the
+stored ``array_size`` and ``tombstones``, every stored key is reachable by
+its own probe sequence, and no valid key is duplicated. It accepts arbitrary
+(including corrupt) states and reports rather than raises; full evaluation
+may cost O(n * MAX_PROBES), so gate it behind debug paths in production
+code.
 """
 
 from __future__ import annotations
@@ -85,9 +86,12 @@ def check(m) -> InvariantReport:
     simple = not problems
 
     counted = count_valid_keys(m.keys)
-    count_ok = counted == m.array_size
-    if not count_ok:
+    tombstones = m.keys.count(LONG_MIN)
+    count_ok = counted == m.array_size and tombstones == m.tombstones
+    if counted != m.array_size:
         problems.append(f"counted {counted} valid keys but array_size is {m.array_size}")
+    if tombstones != m.tombstones:
+        problems.append(f"counted {tombstones} tombstones but tombstones is {m.tombstones}")
 
     # Probing indexes through `& mask`, so seekability is only evaluable on a
     # structurally sound array.

@@ -55,12 +55,17 @@ MUTANTS = (
     Mutant(
         "growth-drops-a-pair",
         growable.GrowableLongMap,
-        "_grow",
+        "_rebuild",
         {"live_pairs(self)": "live_pairs(self)[1:]"},
         map_factory=_growable_from_one,
     ),
     Mutant("probe-step-off-by-one", core, "_probe", {"* x - 3)": "* x - 2)"}),
+    Mutant("tombstone-not-counted", core.FixedLongMap, "remove", {"self.tombstones += 1": "self.tombstones += 0"}),
 )
+
+# Observable only where a probe path runs 2048 slots deep, which no fuzz
+# trace of the corpus above reaches; keys sharing one hash do.
+BUDGET_MUTANT = Mutant("probe-budget-2047", core, "_probe", {"else MAX_PROBES": "else MAX_PROBES - 1"})
 
 
 def mutated(fn, edits: dict):

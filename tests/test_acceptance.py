@@ -28,7 +28,7 @@ from longmap.conformance import FuzzConfig, generate_trace
 from longmap.invariants import check
 
 from hash_oracle import to_index_oracle
-from test_growable import growth_watched
+from test_growable import fill_colliding, growth_watched, tombstone_free_capacity
 from test_hash import FIXED_KEYS
 from test_seek import probe_violation
 
@@ -348,4 +348,60 @@ def test_criterion_10_bench_sanity():
     _announce(
         "criterion 10 PASS: mean probe length strictly increasing "
         f"{[round(v, 3) for v in means]} at capacity 2^16 in {elapsed:.1f}s"
+    )
+
+
+CHURN_LIVE = 1_000
+CHURN_STEPS = 60_000
+
+
+def test_criterion_11_growable_churn():
+    # Fresh-key churn around a fixed set of live keys: each step inserts a
+    # new key, removes it, and removes a key never stored. Tombstones count
+    # toward the threshold, so the map repacks in place instead of growing
+    # or running out of probe budget.
+    started = time.perf_counter()
+    rng = random.Random(11011)
+    fresh = set()
+
+    def fresh_key():
+        while True:
+            k = rng.getrandbits(64) - (1 << 63)
+            if is_valid_key(k) and k not in fresh:
+                fresh.add(k)
+                return k
+
+    rebuilds = []
+
+    def on_grow(old, new):
+        rebuilds.append(snapshot_model(old) == snapshot_model(new))
+
+    g = GrowableLongMap(1)
+    live = {fresh_key(): rng.getrandbits(63) for _ in range(CHURN_LIVE)}
+    refused = 0
+    with growth_watched(on_grow):
+        for k, v in live.items():
+            refused += not g.update(k, v)
+        for i in range(CHURN_STEPS):
+            k = fresh_key()
+            refused += not g.update(k, i)
+            refused += not g.remove(k)
+            refused += not g.remove(fresh_key())
+    bound = 2 * tombstone_free_capacity(CHURN_LIVE)
+    assert refused == 0
+    assert g.capacity <= bound
+    assert rebuilds and all(rebuilds)
+    assert snapshot_model(g).items() == tuple(sorted(live.items()))
+    assert check(g).valid
+
+    colliding, refusals = fill_colliding(2100)
+    colliding_bound = 2 * tombstone_free_capacity(colliding.array_size + 1)
+    assert len(refusals) == 2100 - colliding.array_size
+    assert colliding.capacity <= colliding_bound
+    elapsed = time.perf_counter() - started
+    _announce(
+        f"criterion 11 PASS: {3 * CHURN_STEPS} churn ops on {CHURN_LIVE} live keys, capacity "
+        f"{g.capacity} <= {bound}, zero refusals, {len(rebuilds)} rebuilds with equal snapshots; "
+        f"2100 colliding keys: capacity {colliding.capacity} <= {colliding_bound}, "
+        f"{len(refusals)} refusals within budget, in {elapsed:.1f}s"
     )

@@ -82,7 +82,7 @@ def test_snapshot_includes_extras():
 
 
 def test_snapshot_skips_sentinel_slots():
-    m = FixedLongMap.unchecked(3, [0, 7, LONG_MIN, 0], [9, 55, 9, 9], 1, 0, 0, 0)
+    m = FixedLongMap.unchecked(3, [0, 7, LONG_MIN, 0], [9, 55, 9, 9], 1, 1, 0, 0, 0)
     assert snapshot_model(m).items() == ((7, 55),)
 
 
@@ -92,7 +92,7 @@ def test_snapshot_matches_literal_fold():
         assert snapshot_model(m) == fold_snapshot(m)
     # Also on a state with a duplicated key, where fold order matters: the
     # earlier index must win.
-    m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 2, 0, 0], 2, 0, 0, 0)
+    m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 2, 0, 0], 2, 0, 0, 0, 0)
     assert snapshot_model(m) == fold_snapshot(m)
     assert snapshot_model(m).get(5) == 1
 
@@ -141,13 +141,13 @@ def test_equivalence_witness_for_hidden_key():
 def test_equivalence_detects_duplicate_with_equal_value():
     # The first-wins snapshot folds the copy away and every index agrees
     # with it on the value; only the duplicate itself is wrong.
-    m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 1, 0, 0], 2, 0, 0, 0)
+    m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 1, 0, 0], 2, 0, 0, 0, 0)
     assert equivalence_violation(m) == "key 5 duplicated at indexes 0 and 1"
 
 
 @pytest.mark.parametrize("extra_keys, zero_value", [(0, 0), (1, 8), (3, 7)])
 def test_equivalence_detects_sentinel_mismatch(extra_keys, zero_value):
-    m = FixedLongMap.unchecked(3, [5, 0, 0, 0], [1, 0, 0, 0], 1, extra_keys, zero_value, 9)
+    m = FixedLongMap.unchecked(3, [5, 0, 0, 0], [1, 0, 0, 0], 1, 0, extra_keys, zero_value, 9)
     model = ListMap([(5, 1), (0, 7)])
     msg = equivalence_violation(m, model)
     assert msg is not None and msg.startswith("sentinel fields")
@@ -394,7 +394,8 @@ class FlipsSentinelBit(CorruptsAfterTrigger):
 
 class MovesOtherKey(CorruptsAfterTrigger):
     """Moves a stored key to the first empty slot on its probe path past its
-    own, leaving a tombstone behind: the pairs and seekability are intact."""
+    own, leaving a counted tombstone behind: the pairs, seekability and
+    counters are intact."""
 
     def corrupt(self):
         i = self.other_key_slot()
@@ -403,6 +404,7 @@ class MovesOtherKey(CorruptsAfterTrigger):
         j = next(e for e in path if self.keys[e] == 0)
         self.keys[j], self.values[j] = self.keys[i], self.values[i]
         self.keys[i], self.values[i] = LONG_MIN, 0
+        self.tombstones += 1
 
 
 @pytest.mark.parametrize(

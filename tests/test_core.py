@@ -116,6 +116,7 @@ def test_remove_tombstones_the_slot():
     m.update(7, 99)
     assert m.remove(7)
     assert LONG_MIN in list(m.keys)
+    assert m.tombstones == 1
     assert not m.contains(7)
     assert m.size == 0
     assert m.get(7) == 0
@@ -229,10 +230,12 @@ def test_tombstone_slot_is_reused():
     m.update(22, 2)
     layout = list(m.keys)
     m.remove(11)
+    assert m.tombstones == 1
     # Reinsertion probes over the tombstone, finds a 0 terminator, and lands
     # back in the remembered vacant slot.
     assert m.update(11, 5)
     assert list(m.keys) == layout
+    assert m.tombstones == 0
     assert m.get(11) == 5 and m.get(22) == 2
 
 

@@ -7,37 +7,76 @@ import pytest
 
 import longmap.core as core
 import longmap.growable as growable
-from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model
-from longmap.conformance import FuzzConfig, generate_trace
+from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model, to_index
+from longmap.conformance import FuzzConfig, _rejection_violation, generate_trace
 from longmap.invariants import check
+
+
+def colliding_keys(n, h=0x2545F491):
+    """``n`` distinct keys ``(c << 32) | (h ^ c)``: ``to_index`` folds each to
+    the 32-bit hash ``h`` first, so they share their home slot and whole
+    probe path at every capacity and the n-th sits n - 1 probes deep."""
+    return [(c << 32) | (h ^ c) for c in range(1, n + 1)]
+
+
+def fill_colliding(n):
+    """A growable map from mask 1 after ``update(k, k)`` of ``colliding_keys(n)``,
+    and the keys it refused, each refusal checked against the probe budget.
+
+    The capacity ceiling is patched to 2**18 for the call: without a bound on
+    growth these keys would take the map to 2**30 slots, two 8 GiB arrays.
+    """
+    ceiling = growable.MAX_MASK_EXPONENT
+    growable.MAX_MASK_EXPONENT = 18
+    try:
+        g = GrowableLongMap(1)
+        refused = []
+        for k in colliding_keys(n):
+            if not g.update(k, k):
+                assert _rejection_violation(g, "update", k) is None
+                refused.append(k)
+        assert snapshot_model(g).items() == tuple((k, k) for k in colliding_keys(n) if k not in refused)
+        return g, refused
+    finally:
+        growable.MAX_MASK_EXPONENT = ceiling
+
+
+def tombstone_free_capacity(n):
+    """Smallest capacity, at least 2, whose 0.5 threshold holds ``n`` keys."""
+    c = 2
+    while n > 0.5 * c:
+        c *= 2
+    return c
 
 
 @contextmanager
 def growth_watched(on_grow):
-    """Wrap ``GrowableLongMap._grow`` for the length of the block so that
-    every growth of any growable map calls ``on_grow(old, new)`` with a copy
-    of the map from before it and the map itself after it."""
-    grow = GrowableLongMap._grow
+    """Wrap ``GrowableLongMap._rebuild`` for the length of the block so that
+    every rebuild of any growable map, growing or in place, calls
+    ``on_grow(old, new)`` with a copy of the map from before it and the map
+    itself after it."""
+    rebuild = GrowableLongMap._rebuild
 
-    def watched(self):
+    def watched(self, mask):
         old = FixedLongMap.unchecked(
             self.mask,
             self.keys,
             self.values,
             self.array_size,
+            self.tombstones,
             self.extra_keys,
             self.zero_value,
             self.min_value,
             self.default_entry,
         )
-        grow(self)
+        rebuild(self, mask)
         on_grow(old, self)
 
-    GrowableLongMap._grow = watched
+    GrowableLongMap._rebuild = watched
     try:
         yield
     finally:
-        GrowableLongMap._grow = grow
+        GrowableLongMap._rebuild = rebuild
 
 
 def test_third_distinct_key_triggers_growth():
@@ -213,3 +252,54 @@ def test_growable_fuzz_trace_clean():
     )
     assert res.ok, res.divergence
     assert res.final_map.growth_count >= 1
+
+
+def test_colliding_keys_share_every_probe_path():
+    keys = colliding_keys(64)
+    for exp in (1, 10, 18, 30):
+        mask = (1 << exp) - 1
+        assert len({to_index(k, mask) for k in keys}) == 1
+
+
+def test_colliding_keys_grow_the_map_a_bounded_number_of_times():
+    # The 2049th key sharing one probe path is out of budget at every
+    # capacity, so growth cannot admit it; the map grows only within a fixed
+    # multiple of the capacity its live keys need, then refuses.
+    g, refused = fill_colliding(2100)
+    assert g.array_size == 2048
+    assert len(refused) == 52
+    assert g.capacity <= growable.REJECTION_GROWTH_LIMIT * tombstone_free_capacity(g.array_size + 1)
+    assert check(g).valid
+
+
+def test_tombstones_count_toward_the_threshold():
+    # One live key and churn of fresh keys, each homed on a 0 slot so that
+    # none reuses a tombstone: the tombstones fill the table up to the
+    # threshold, and the rebuild that follows is in place.
+    g = GrowableLongMap(7)
+    fresh = (k for k in range(1, 1000) if g.keys[to_index(k, g.mask)] == 0)
+    assert g.update(next(fresh), 1)
+    for _ in range(3):
+        k = next(fresh)
+        assert g.update(k, k)
+        assert g.remove(k)
+    assert (g.capacity, g.array_size, g.tombstones) == (8, 1, 3)
+    k = next(fresh)
+    assert g.update(k, 6)
+    assert (g.capacity, g.array_size, g.tombstones, g.growth_count) == (8, 2, 0, 0)
+    assert len(snapshot_model(g)) == 2
+    assert check(g).valid
+
+
+def test_few_tombstones_double_instead_of_repacking():
+    # With tombstones at most a fifth of the table a rebuild doubles, so a
+    # map whose live keys sit just under the threshold does not repack on
+    # every few inserts.
+    g = GrowableLongMap(15)
+    for k in range(1, 8):
+        assert g.update(k, k)
+    assert g.update(100, 0) and g.remove(100)
+    assert (g.capacity, g.array_size, g.tombstones) == (16, 7, 1)
+    assert g.update(101, 0)
+    assert (g.capacity, g.tombstones, g.growth_count) == (32, 0, 1)
+

@@ -37,7 +37,7 @@ def test_count_is_additive_over_splits(a, data):
 
 def seekable(keys, mask):
     """The invariant's seekability verdict on a map holding ``keys``."""
-    m = FixedLongMap.unchecked(mask, keys, [0] * len(keys), count_valid_keys(keys), 0, 0, 0)
+    m = FixedLongMap.unchecked(mask, keys, [0] * len(keys), count_valid_keys(keys), keys.count(LONG_MIN), 0, 0, 0)
     return check(m).all_keys_seekable
 
 
@@ -72,6 +72,17 @@ def test_check_detects_size_corruption():
     assert "array_size" in report.first_violation
 
 
+def test_check_detects_tombstone_count_corruption():
+    m = FixedLongMap(15)
+    m.update(5, 50)
+    m.remove(5)
+    assert check(m).valid
+    m.tombstones -= 1
+    report = check(m)
+    assert not report.count_matches_size
+    assert report.first_violation == "counted 1 tombstones but tombstones is 0"
+
+
 def test_check_detects_duplicates():
     m = FixedLongMap(15)
     m.update(5, 50)
@@ -93,7 +104,7 @@ def test_check_detects_displaced_key():
 
 
 def test_check_detects_bad_mask():
-    m = FixedLongMap.unchecked(5, [0] * 6, [0] * 6, 0, 0, 0, 0)
+    m = FixedLongMap.unchecked(5, [0] * 6, [0] * 6, 0, 0, 0, 0, 0)
     report = check(m)
     assert not report.simple_valid
     assert not report.valid

@@ -10,25 +10,29 @@ probe step is self-consistent, so it shows only when an update or remove
 returns False with a 0 slot still within the true probe sequence's budget,
 and at capacity 2^10 no op of this trace is rejected. Criterion 6's
 comparison of the probe loop with the two-phase reference walk sees it
-regardless; its catch count is pinned too.
+regardless; its catch count is pinned too, and so is its catch on a trace
+of keys that share one probe path, which also catches the 2047-probe budget
+that no fuzz trace reaches.
 """
 
 import pytest
 
-from mutants import MUTANTS, applied
-from longmap.conformance import FuzzConfig, generate_trace, run_trace
+from mutants import BUDGET_MUTANT, MUTANTS, applied
+from longmap.conformance import FuzzConfig, TraceOp, generate_trace, run_trace
 from test_acceptance import agreement_arrays
+from test_growable import colliding_keys
 from test_seek import probe_violation
 
 EXPONENTS = (3, 6, 10)
 
 CAUGHT_AT = {
-    "remove-writes-zero": (24, 142, 959),
+    "remove-writes-zero": (24, 39, 319),
     "size-not-decremented": (24, 39, 319),
     "sentinel-bits-swapped": (41, 9, 83),
     "get-ignores-default": (4, 3, 11),
     "growth-drops-a-pair": (1, 5, 1),
     "probe-step-off-by-one": (13, 300, None),
+    "tombstone-not-counted": (24, 39, 319),
 }
 
 
@@ -71,3 +75,19 @@ def test_probe_step_mutant_caught_by_the_criterion_6_reference():
                     caught.append(msg)
     assert (probed, len(caught)) == (1534, 682)
     assert all("two-phase reference" in msg for msg in caught)
+
+
+def test_colliding_trace_catches_the_probe_path_mutants():
+    # Inserts of 2049 keys sharing one probe path: at capacity 2^10 the
+    # table fills and the rest are refused; at 2^12 the 2048th key sits on
+    # the budget's last probe and the 2049th is refused. Invariant checks
+    # are left out: each would walk 2048 keys down that one path.
+    ops = [TraceOp("U", k, k) for k in colliding_keys(2049)]
+    stride = len(ops) + 1
+    mutant = next(m for m in MUTANTS if m.name == "probe-step-off-by-one")
+    for m, exp, caught in ((mutant, 10, 288), (BUDGET_MUTANT, 12, 2047)):
+        mask = (1 << exp) - 1
+        assert run_trace(ops, mask, shrink=False, invariant_stride=stride).ok
+        with applied(m):
+            res = run_trace(ops, mask, shrink=False, invariant_stride=stride)
+        assert res.divergence.op_index == caught, res.divergence
