@@ -1,5 +1,6 @@
 """Command-line harness: differential fuzzing, trace replay, invariant
-checking of serialized states, and occupancy benchmarks.
+checking of serialized states (whose file format lives here), and occupancy
+benchmarks.
 
 Exit codes: 0 success, 1 contract/invariant violation, 2 bad flags or
 unparseable input. All output except bench latency figures is deterministic
@@ -13,30 +14,24 @@ import contextlib
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .bench import BenchReport, run_bench
 from .conformance import (
     FuzzConfig,
-    TraceParseError,
+    ParseError,
     _shrink_trace,
     equivalence_violation,
     format_trace,
     generate_trace,
     parse_int,
+    parse_trace,
     read_ascii,
-    read_trace,
     run_trace,
-    write_trace,
 )
 from .core import LONG_MAX, LONG_MIN, MAX_MASK, MAX_MASK_EXPONENT, FixedLongMap
 from .growable import GrowableLongMap
 from .invariants import check as check_invariant, count_valid_keys
-
-
-class StateParseError(ValueError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def dump_state(m: FixedLongMap) -> str:
@@ -54,17 +49,17 @@ def parse_state(text: str) -> FixedLongMap:
     is for the checker to report), but must at least be buildable."""
     lines = text.splitlines()
     if len(lines) < 2:
-        raise StateParseError(1, "expected 'mask' and 'extra' header lines")
+        raise ParseError(1, "expected 'mask' and 'extra' header lines")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "mask":
-        raise StateParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
-    mask = parse_int(head[1], 1, "mask", StateParseError, 0, MAX_MASK)
+        raise ParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
+    mask = parse_int(head[1], 1, "mask", 0, MAX_MASK)
     extra_line = lines[1].split()
     if len(extra_line) != 4 or extra_line[0] != "extra":
-        raise StateParseError(2, f"expected 'extra <keys> <zero> <min>', got {lines[1]!r}")
-    extra_keys = parse_int(extra_line[1], 2, "extra_keys", StateParseError)
-    zero_value = parse_int(extra_line[2], 2, "zero_value", StateParseError)
-    min_value = parse_int(extra_line[3], 2, "min_value", StateParseError)
+        raise ParseError(2, f"expected 'extra <keys> <zero> <min>', got {lines[1]!r}")
+    extra_keys = parse_int(extra_line[1], 2, "extra_keys")
+    zero_value = parse_int(extra_line[2], 2, "zero_value")
+    min_value = parse_int(extra_line[3], 2, "min_value")
 
     keys = [0] * (mask + 1)
     values = [0] * (mask + 1)
@@ -74,26 +69,25 @@ def parse_state(text: str) -> FixedLongMap:
             continue
         parts = line.split()
         if len(parts) != 4 or parts[0] != "slot":
-            raise StateParseError(ln, f"expected 'slot <i> <key> <value>', got {line!r}")
-        i = parse_int(parts[1], ln, "slot index", StateParseError, 0, mask)
+            raise ParseError(ln, f"expected 'slot <i> <key> <value>', got {line!r}")
+        i = parse_int(parts[1], ln, "slot index", 0, mask)
         if i in seen:
-            raise StateParseError(ln, f"slot {i} listed twice")
+            raise ParseError(ln, f"slot {i} listed twice")
         seen.add(i)
-        keys[i] = parse_int(parts[2], ln, "key", StateParseError)
-        values[i] = parse_int(parts[3], ln, "value", StateParseError)
+        keys[i] = parse_int(parts[2], ln, "key")
+        values[i] = parse_int(parts[3], ln, "value")
 
     array_size = count_valid_keys(keys)
     tombstones = keys.count(LONG_MIN)
     return FixedLongMap.unchecked(mask, keys, values, array_size, tombstones, extra_keys, zero_value, min_value)
 
 
-def load_state(path) -> FixedLongMap:
-    return parse_state(read_ascii(path, StateParseError))
-
-
 def _int_flag(text: str, what: str = "value", lo: int = LONG_MIN, hi: int = LONG_MAX) -> int:
     """A decimal flag read as the file formats read numbers; argparse exits 2 on a bad one."""
-    return parse_int(text, 0, what, lambda _, message: argparse.ArgumentTypeError(message), lo, hi)
+    try:
+        return parse_int(text, 0, what, lo, hi)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
 
 
 def _mask_exp(text: str) -> int:
@@ -155,7 +149,7 @@ def cmd_fuzz(args) -> int:
 
     mask, ops = generate_trace(cfg)
     if args.emit_trace:
-        write_trace(args.emit_trace, mask, ops)
+        Path(args.emit_trace).write_text(format_trace(mask, ops), encoding="ascii")
 
     kwargs = {"map_factory": _growable_factory, "invariant_stride": 64} if args.growable else {}
     with contextlib.ExitStack() as files:
@@ -163,7 +157,7 @@ def cmd_fuzz(args) -> int:
         # cannot be opened costs no fuzzing or minimization.
         if args.dump_state:
             state_out = files.enter_context(open(args.dump_state, "w", encoding="ascii"))
-        result = run_trace(ops, mask, shrink=False, seed=cfg.seed, **kwargs)
+        result = run_trace(ops, mask, shrink=False, **kwargs)
 
         print(f"seed {cfg.seed}")
         print(f"mask-exponent {cfg.mask_exponent}")
@@ -190,12 +184,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        mask, ops = read_trace(args.trace)
-    except TraceParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-
+    mask, ops = parse_trace(read_ascii(args.trace))
     result = run_trace(ops, mask, shrink=False)
     print(f"ops {result.ops_run}")
     print(f"final-size {result.final_size}")
@@ -258,12 +247,7 @@ def _bench_json(report: BenchReport) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        m = load_state(args.state)
-    except StateParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-
+    m = parse_state(read_ascii(args.state))
     report = check_invariant(m)
     print(f"simple_valid {str(report.simple_valid).lower()}")
     print(f"count_matches_size {str(report.count_matches_size).lower()}")
@@ -283,6 +267,9 @@ def main(argv=None) -> int:
     command = {"fuzz": cmd_fuzz, "replay": cmd_replay, "bench": cmd_bench, "check": cmd_check}
     try:
         return command[args.command](args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         # A file that cannot be read or written is bad input, not a violation.
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ Provides model extraction from concrete map state, the array/model
 equivalence check, and a deterministic randomized trace runner that
 executes every operation on both the array map and the model twin, asserting
 the public-contract relations and the equivalence after each step. A
-divergence is reported with its seed and op index and a minimized
-reproducing trace.
+divergence is reported with its op index and a minimized reproducing
+trace. Also the trace format, the number grammar all input shares, and
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import (
@@ -24,12 +24,10 @@ from .core import (
     FixedLongMap,
     is_valid_key,
     live_pairs,
-    next_probe,
-    to_index,
     valid_mask,
     zero_entry,
 )
-from .invariants import check as check_invariant
+from .invariants import _probe_offsets, _stop_slot, check as check_invariant
 from .listmap import ListMap
 
 OP_KINDS = ("U", "R", "G", "C")
@@ -77,14 +75,12 @@ class Divergence:
 @dataclass
 class TraceResult:
     ops_run: int
-    mask: int
     final_size: int
     counts: dict = field(default_factory=dict)
     invariant_checks: int = 0
     equivalence_checks: int = 0
     divergence: Optional[Divergence] = None
     minimized: Optional[list] = None
-    seed: Optional[int] = None
     final_map: object = None
 
     @property
@@ -193,21 +189,6 @@ def _default_stride(capacity: int) -> int:
     return 1 if capacity <= 64 else 64
 
 
-@lru_cache(maxsize=None)
-def _probe_offsets(mask: int) -> tuple:
-    """Distinct offsets from the home slot of the first MAX_PROBES probes.
-
-    The probe step does not depend on the home slot, so the slots a key's
-    probe budget covers are ``(to_index(k, mask) + d) & mask`` for these d.
-    """
-    e = 0
-    offsets = [e]
-    for x in range(1, MAX_PROBES):
-        e = next_probe(e, x, mask)
-        offsets.append(e)
-    return tuple(dict.fromkeys(offsets))
-
-
 def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     """Why ``name(k)`` returning False breaks the contract, or None.
 
@@ -222,23 +203,18 @@ def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     # speed decide; only a violation needs the walk that names its slot.
     if mask < MAX_PROBES and k not in keys and 0 not in keys:
         return None
-    home = to_index(k, mask)
-    for d in _probe_offsets(mask):
-        i = (home + d) & mask
-        if keys[i] == k or not keys[i]:
-            return f"{name}({k}) returned False but slot {i} in its probe budget holds {keys[i]}"
-    return None
+    i = _stop_slot(keys, k, _probe_offsets(mask))
+    if i is None:
+        return None
+    return f"{name}({k}) returned False but slot {i} in its probe budget holds {keys[i]}"
 
 
 def _sentinels_agree(m, model: ListMap) -> bool:
-    """The sentinel fields of ``m`` hold exactly the model's entries for 0 and LONG_MIN."""
-    for bit, key, value in ((1, 0, m.zero_value), (2, LONG_MIN, m.min_value)):
-        if m.extra_keys & bit:
-            if not model.contains(key) or model.apply(key) != value:
-                return False
-        elif model.contains(key):
-            return False
-    return True
+    """The sentinel fields of ``m`` hold exactly the model's entries for 0 and
+    LONG_MIN; the model's values are ints, so ``None`` means absent."""
+    zero = m.zero_value if m.extra_keys & 1 else None
+    low = m.min_value if m.extra_keys & 2 else None
+    return model.get(0) == zero and model.get(LONG_MIN) == low
 
 
 class _VerifiedState:
@@ -276,17 +252,9 @@ class _VerifiedState:
             return False
         if k == 0 or k == LONG_MIN:
             return keys == old_keys and values == old_values
-        mask = len(keys) - 1
-        home = to_index(k, mask)
-        new = None
-        for d in _probe_offsets(mask):
-            i = (home + d) & mask
-            q = keys[i]
-            if q == k:
-                new = i
-                break
-            if not q:
-                break
+        new = _stop_slot(keys, k, _probe_offsets(len(keys) - 1))
+        if new is not None and keys[new] != k:
+            new = None
         slots = {self.slot_of.get(k), new}
         slots.discard(None)
         holders = []
@@ -299,11 +267,12 @@ class _VerifiedState:
                 holders.append(i)
         if keys != old_keys or values != old_values:
             return False
-        if not model.contains(k):
+        want = model.get(k)
+        if want is None:
             if holders:
                 return False
             self.slot_of.pop(k, None)
-        elif len(holders) != 1 or values[holders[0]] != model.apply(k):
+        elif len(holders) != 1 or values[holders[0]] != want:
             return False
         else:
             self.slot_of[k] = holders[0]
@@ -350,7 +319,6 @@ def run_trace(
     map_factory: Optional[Callable] = None,
     invariant_stride: Optional[int] = None,
     shrink: bool = True,
-    seed: Optional[int] = None,
 ) -> TraceResult:
     """Execute ``ops`` differentially against the model, checking contracts.
 
@@ -409,14 +377,12 @@ def run_trace(
 
     return TraceResult(
         ops_run=(divergence.op_index + 1) if divergence else len(ops),
-        mask=mask,
         final_size=m.size,
         counts=counts,
         invariant_checks=inv_checks,
         equivalence_checks=eq_checks,
         divergence=divergence,
         minimized=minimized,
-        seed=seed,
         final_map=m,
     )
 
@@ -442,19 +408,22 @@ def _shrink_trace(ops, mask, **kw) -> list:
 
 
 def run_fuzz(cfg: FuzzConfig, **kwargs) -> TraceResult:
-    """Generate a trace from ``cfg`` and run it; the seed rides along."""
+    """Generate a trace from ``cfg`` and run it."""
     mask, ops = generate_trace(cfg)
-    return run_trace(ops, mask, seed=cfg.seed, **kwargs)
+    return run_trace(ops, mask, **kwargs)
 
 
-class TraceParseError(ValueError):
+class ParseError(ValueError):
+    """Malformed trace, state or flag text: ``message`` at ``line_number``."""
+
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.message = message
 
 
 def format_trace(mask: int, ops) -> str:
-    """Render a trace in the line format consumed by read_trace."""
+    """Render a trace in the line format consumed by parse_trace."""
     lines = [f"mask {mask}"]
     for op in ops:
         if op.kind == "U":
@@ -464,56 +433,45 @@ def format_trace(mask: int, ops) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(path, mask: int, ops) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(format_trace(mask, ops))
-
-
-def read_ascii(path, error) -> str:
-    """The text of the ASCII file at ``path``.
-
-    A non-ASCII byte raises ``error(line_number, message)``, the signature
-    of the trace and state parse errors.
-    """
+def read_ascii(path) -> str:
+    """The text of the ASCII file at ``path``; a non-ASCII byte raises ParseError."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+        raise ParseError(line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
 
 
-def parse_int(
-    text: str, line_number: int, what: str, error=TraceParseError, lo: int = LONG_MIN, hi: int = LONG_MAX
-) -> int:
+def parse_int(text: str, line_number: int, what: str, lo: int = LONG_MIN, hi: int = LONG_MAX) -> int:
     """The whitespace-free token ``text`` as a signed decimal in [lo, hi].
 
-    Anything else raises ``error(line_number, message)``, including the
-    ``_`` separators and non-ASCII digits that ``int`` would accept.
+    Anything else raises ParseError, including the ``_`` separators and
+    non-ASCII digits that ``int`` would accept.
     """
     if "_" in text or not text.isascii():
-        raise error(line_number, f"{what} is not a signed decimal: {text!r}")
+        raise ParseError(line_number, f"{what} is not a signed decimal: {text!r}")
     try:
         v = int(text)
     except ValueError:
-        raise error(line_number, f"{what} is not an integer: {text!r}") from None
+        raise ParseError(line_number, f"{what} is not an integer: {text!r}") from None
     if not lo <= v <= hi:
-        raise error(line_number, f"{what} {v} outside [{lo}, {hi}]")
+        raise ParseError(line_number, f"{what} {v} outside [{lo}, {hi}]")
     return v
 
 
 def parse_trace(text: str) -> tuple[int, list]:
-    """Parse trace text into (mask, ops); raises TraceParseError."""
+    """Parse trace text into (mask, ops); raises ParseError."""
     lines = text.splitlines()
     if not lines:
-        raise TraceParseError(1, "empty trace")
+        raise ParseError(1, "empty trace")
     header = lines[0].split()
     if len(header) != 2 or header[0] != "mask":
-        raise TraceParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
+        raise ParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
     mask = parse_int(header[1], 1, "mask")
     if not valid_mask(mask):
-        raise TraceParseError(1, f"mask {mask} is not 2**n - 1 with n <= 30")
+        raise ParseError(1, f"mask {mask} is not 2**n - 1 with n <= 30")
 
     ops = []
     for ln, line in enumerate(lines[1:], start=2):
@@ -523,18 +481,14 @@ def parse_trace(text: str) -> tuple[int, list]:
         kind = parts[0]
         if kind == "U":
             if len(parts) != 3:
-                raise TraceParseError(ln, f"U takes key and value, got {line!r}")
+                raise ParseError(ln, f"U takes key and value, got {line!r}")
             ops.append(
                 TraceOp("U", parse_int(parts[1], ln, "key"), parse_int(parts[2], ln, "value"))
             )
         elif kind in ("R", "G", "C"):
             if len(parts) != 2:
-                raise TraceParseError(ln, f"{kind} takes a key, got {line!r}")
+                raise ParseError(ln, f"{kind} takes a key, got {line!r}")
             ops.append(TraceOp(kind, parse_int(parts[1], ln, "key")))
         else:
-            raise TraceParseError(ln, f"unknown op {kind!r}")
+            raise ParseError(ln, f"unknown op {kind!r}")
     return mask, ops
-
-
-def read_trace(path) -> tuple[int, list]:
-    return parse_trace(read_ascii(path, TraceParseError))

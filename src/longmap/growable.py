@@ -28,10 +28,10 @@ from .core import (
     zero_entry,
 )
 
-# An insert that no probe budget admits doubles the map only while its
-# capacity is below this multiple of the smallest one whose threshold holds
-# the live keys plus the new one. Keys sharing one 32-bit hash share their
-# probe path at every capacity, so for them growth gains nothing.
+# An insert that no probe budget admits doubles the map only while this
+# multiple of the live keys plus the new one exceeds the threshold, that is
+# while capacity is below this multiple of what those keys need. Keys sharing
+# one 32-bit hash share their probe path at every capacity: growth cannot help.
 REJECTION_GROWTH_LIMIT = 2
 
 
@@ -92,17 +92,10 @@ class GrowableLongMap(FixedLongMap):
                     return True
             elif self.tombstones:
                 self._rebuild(self.mask)
-            elif self._can_grow() and capacity < REJECTION_GROWTH_LIMIT * self._needed_capacity():
+            elif self._can_grow() and REJECTION_GROWTH_LIMIT * (self.array_size + 1) > limit:
                 self._rebuild(2 * self.mask + 1)
             else:
                 return False
-
-    def _needed_capacity(self) -> int:
-        """Smallest capacity whose threshold holds the live keys plus one."""
-        c = 1
-        while self.array_size + 1 > self.growth_threshold * c:
-            c *= 2
-        return c
 
     def _can_grow(self) -> bool:
         return self.capacity < (1 << MAX_MASK_EXPONENT)

@@ -3,19 +3,19 @@
 ``check`` evaluates the shallow bookkeeping conditions plus three deep
 conditions over the key array: the valid-key and tombstone counts match the
 stored ``array_size`` and ``tombstones``, every stored key is reachable by
-its own probe sequence, and no valid key is duplicated. It accepts arbitrary
-(including corrupt) states and reports rather than raises; full evaluation
-may cost O(n * MAX_PROBES), so gate it behind debug paths in production
-code.
+its own probe sequence (walked here, independently of ``core._probe``), and
+no valid key is duplicated. It accepts arbitrary (including corrupt) states
+and reports rather than raises; full evaluation may cost O(n * MAX_PROBES),
+so gate it behind debug paths in production code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from . import core
-from .core import FOUND, LONG_MIN, is_valid_key, valid_mask
+from .core import LONG_MIN, MAX_PROBES, is_valid_key, next_probe, to_index, valid_mask
 
 
 @dataclass
@@ -41,14 +41,39 @@ def count_valid_keys(a) -> int:
     return len(a) - a.count(0) - a.count(LONG_MIN)
 
 
+@lru_cache(maxsize=None)
+def _probe_offsets(mask: int) -> tuple:
+    """Distinct offsets from the home slot of the first MAX_PROBES probes.
+
+    The probe step does not depend on the home slot, so the slots a key's
+    probe budget covers are ``(to_index(k, mask) + d) & mask`` for these d.
+    """
+    e = 0
+    offsets = [e]
+    for x in range(1, MAX_PROBES):
+        e = next_probe(e, x, mask)
+        offsets.append(e)
+    return tuple(dict.fromkeys(offsets))
+
+
+def _stop_slot(keys, k: int, offsets) -> Optional[int]:
+    """First slot holding ``k`` or 0 on ``k``'s probe path through ``offsets``
+    (``_probe_offsets`` of the table's mask), or None when the budget runs out."""
+    mask = len(keys) - 1
+    home = to_index(k, mask)
+    for d in offsets:
+        i = (home + d) & mask
+        q = keys[i]
+        if q == k or not q:
+            return i
+    return None
+
+
 def _seekability_violation(keys, mask: int) -> Optional[int]:
-    # Through the module attribute, so a wrapper patched over core._probe
-    # sees these seeks too.
+    offsets = _probe_offsets(mask)
     for i, k in enumerate(keys):
-        if k != 0 and k != LONG_MIN:
-            kind, index, _ = core._probe(k, keys, mask)
-            if (kind, index) != (FOUND, i):
-                return i
+        if k != 0 and k != LONG_MIN and _stop_slot(keys, k, offsets) != i:
+            return i
     return None
 
 
@@ -77,10 +102,6 @@ def check(m) -> InvariantReport:
         problems.append(f"array_size {m.array_size} < 0")
     if m.array_size > m.mask + 1:
         problems.append(f"array_size {m.array_size} > capacity {m.mask + 1}")
-    if m.size < m.array_size:
-        problems.append(f"size {m.size} < array_size {m.array_size}")
-    if m.size != m.array_size + (m.extra_keys + 1) // 2:
-        problems.append(f"size {m.size} inconsistent with array_size/extra_keys")
     if not 0 <= m.extra_keys <= 3:
         problems.append(f"extra_keys {m.extra_keys} outside 0..3")
     simple = not problems

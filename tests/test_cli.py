@@ -10,7 +10,8 @@ import pytest
 import longmap
 from longmap import FixedLongMap, is_valid_key, to_index
 import longmap.cli as cli
-from longmap.cli import dump_state, load_state, main, parse_state, StateParseError
+from longmap.cli import dump_state, main, parse_state
+from longmap.conformance import ParseError, read_ascii
 
 
 def run_cli(capsys, *argv):
@@ -220,7 +221,7 @@ def test_state_round_trip(tmp_path):
     m.remove(-9)  # leaves a tombstone slot in the dump
     path = tmp_path / "rt.state"
     path.write_text(dump_state(m))
-    m2 = load_state(path)
+    m2 = parse_state(read_ascii(path))
     assert list(m2.keys) == list(m.keys)
     assert list(m2.values) == list(m.values)
     assert m2.extra_keys == m.extra_keys
@@ -229,20 +230,20 @@ def test_state_round_trip(tmp_path):
 
 
 def test_parse_state_rejects_duplicate_slot():
-    with pytest.raises(StateParseError):
+    with pytest.raises(ParseError):
         parse_state("mask 3\nextra 0 0 0\nslot 1 5 5\nslot 1 6 6\n")
 
 
 @pytest.mark.parametrize("slot", ["slot 1 1_1 5", "slot 1 11 5_0", "slot 0_1 11 5", "slot 1 \u0661 5"])
 def test_parse_state_rejects_non_decimal_numbers(slot):
     # int() accepts digit separators and non-ASCII digits; the format does not.
-    with pytest.raises(StateParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_state(f"mask 3\nextra 0 0 0\n{slot}\n")
     assert exc.value.line_number == 3
 
 
 def test_parse_state_rejects_out_of_range_slot():
-    with pytest.raises(StateParseError):
+    with pytest.raises(ParseError):
         parse_state("mask 3\nextra 0 0 0\nslot 9 5 5\n")
 
 

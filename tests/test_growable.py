@@ -19,7 +19,7 @@ def colliding_keys(n, h=0x2545F491):
     return [(c << 32) | (h ^ c) for c in range(1, n + 1)]
 
 
-def fill_colliding(n):
+def fill_colliding(n, growth_threshold=0.5):
     """A growable map from mask 1 after ``update(k, k)`` of ``colliding_keys(n)``,
     and the keys it refused, each refusal checked against the probe budget.
 
@@ -29,7 +29,7 @@ def fill_colliding(n):
     ceiling = growable.MAX_MASK_EXPONENT
     growable.MAX_MASK_EXPONENT = 18
     try:
-        g = GrowableLongMap(1)
+        g = GrowableLongMap(1, growth_threshold=growth_threshold)
         refused = []
         for k in colliding_keys(n):
             if not g.update(k, k):
@@ -41,10 +41,10 @@ def fill_colliding(n):
         growable.MAX_MASK_EXPONENT = ceiling
 
 
-def tombstone_free_capacity(n):
-    """Smallest capacity, at least 2, whose 0.5 threshold holds ``n`` keys."""
+def tombstone_free_capacity(n, growth_threshold=0.5):
+    """Smallest capacity, at least 2, whose threshold holds ``n`` keys."""
     c = 2
-    while n > 0.5 * c:
+    while n > growth_threshold * c:
         c *= 2
     return c
 
@@ -261,14 +261,15 @@ def test_colliding_keys_share_every_probe_path():
         assert len({to_index(k, mask) for k in keys}) == 1
 
 
-def test_colliding_keys_grow_the_map_a_bounded_number_of_times():
+@pytest.mark.parametrize("threshold", [0.25, 0.5, 1.0])
+def test_colliding_keys_grow_the_map_a_bounded_number_of_times(threshold):
     # The 2049th key sharing one probe path is out of budget at every
-    # capacity, so growth cannot admit it; the map grows only within a fixed
-    # multiple of the capacity its live keys need, then refuses.
-    g, refused = fill_colliding(2100)
+    # capacity, so growth cannot admit it; the map grows exactly up to a
+    # fixed multiple of the capacity its live keys need, then refuses.
+    g, refused = fill_colliding(2100, threshold)
     assert g.array_size == 2048
     assert len(refused) == 52
-    assert g.capacity <= growable.REJECTION_GROWTH_LIMIT * tombstone_free_capacity(g.array_size + 1)
+    assert g.capacity == growable.REJECTION_GROWTH_LIMIT * tombstone_free_capacity(2049, threshold)
     assert check(g).valid
 
 

@@ -5,20 +5,20 @@ Each mutant from ``mutants.py`` runs on the same three fuzz traces (seed 42,
 first reports a divergence is pinned. A later index, or none, means the
 checker got weaker.
 
-``None`` marks a trace on which the mutant is not observable: the off-by-one
-probe step is self-consistent, so it shows only when an update or remove
-returns False with a 0 slot still within the true probe sequence's budget,
-and at capacity 2^10 no op of this trace is rejected. Criterion 6's
-comparison of the probe loop with the two-phase reference walk sees it
-regardless; its catch count is pinned too, and so is its catch on a trace
-of keys that share one probe path, which also catches the 2047-probe budget
-that no fuzz trace reaches.
+The off-by-one probe step lays keys out by its own step; the invariant
+walks each stored key's path by the true step, independently of the map's
+probe loop, so it sees them off their paths. Criterion 6's comparison of
+the probe loop with the two-phase reference walk sees the mutant too; its
+catch count is pinned, with the invariant's on the same arrays, and so is
+its catch on a trace of keys that share one probe path, which also catches
+the 2047-probe budget that no fuzz trace reaches.
 """
 
 import pytest
 
 from mutants import BUDGET_MUTANT, MUTANTS, applied
 from longmap.conformance import FuzzConfig, TraceOp, generate_trace, run_trace
+from longmap.invariants import check
 from test_acceptance import agreement_arrays
 from test_growable import colliding_keys
 from test_seek import probe_violation
@@ -31,7 +31,7 @@ CAUGHT_AT = {
     "sentinel-bits-swapped": (41, 9, 83),
     "get-ignores-default": (4, 3, 11),
     "growth-drops-a-pair": (1, 5, 1),
-    "probe-step-off-by-one": (13, 300, None),
+    "probe-step-off-by-one": (11, 49, 63),
     "tombstone-not-counted": (24, 39, 319),
 }
 
@@ -62,18 +62,22 @@ def test_unmutated_map_is_clean():
 
 def test_probe_step_mutant_caught_by_the_criterion_6_reference():
     # On the first 250 arrays of criterion 6's corpus, laid out by the
-    # mutant's own probe step, the loop disagrees with the reference walk.
+    # mutant's own probe step, the loop disagrees with the reference walk,
+    # and the invariant finds stored keys off their true probe paths.
     mutant = next(m for m in MUTANTS if m.name == "probe-step-off-by-one")
     probed = 0
     caught = []
+    flagged = 0
     with applied(mutant):
         for m, probes in agreement_arrays(250):
+            flagged += not check(m).valid
             for k in probes:
                 probed += 1
                 msg = probe_violation(m.keys, m.mask, k)
                 if msg is not None:
                     caught.append(msg)
     assert (probed, len(caught)) == (1534, 682)
+    assert flagged == 124
     assert all("two-phase reference" in msg for msg in caught)
 
 
