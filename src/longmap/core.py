@@ -12,6 +12,9 @@ LONG_MIN therefore live in side fields (``extra_keys`` bits 0/1 plus
 The probe loop gives up after ``MAX_PROBES`` slot inspections and reports
 UNDEFINED; ``update`` surfaces this as a ``False`` return instead of
 looping forever on a map with no reachable free slot.
+
+``FixedLongMap.update`` is the one insert: before storing a new key it asks
+``_rebuild_mask`` whether to rebuild, and only ``GrowableLongMap`` says yes.
 """
 
 from __future__ import annotations
@@ -204,7 +207,8 @@ class FixedLongMap:
         """Insert or overwrite ``key -> value``.
 
         Returns False (leaving the map unchanged) only when the probe budget
-        runs out without finding the key or a free slot.
+        runs out without finding the key or a free slot and ``_rebuild_mask``
+        asks for no rebuild. A key or value array('q') cannot hold raises.
         """
         if key == 0 or key == LONG_MIN:
             # Held to what the value array can hold: raises as the array
@@ -217,22 +221,18 @@ class FixedLongMap:
                 self.min_value = value
                 self.extra_keys |= 2
             return True
-        kind, i, _ = _probe(key, self.keys, self.mask)
-        if kind == FOUND:
-            self.values[i] = value
-            return True
+        while True:
+            kind, i, _ = _probe(key, self.keys, self.mask)
+            if kind == FOUND:
+                self.values[i] = value
+                return True
+            mask = self._rebuild_mask(kind)
+            if mask is None:
+                break
+            array("q", (key, value))  # raises as the store would, before the rebuild
+            self._rebuild(mask)
         if kind == UNDEFINED:
             return False
-        self._fill(kind, i, key, value)
-        return True
-
-    def _fill(self, kind: int, i: int, key: int, value: int) -> None:
-        """Store the absent ``key -> value`` in slot ``i``, which ``_probe``
-        reported as ``kind`` (MISSING_ZERO or MISSING_VACANT).
-
-        A key or value array('q') cannot hold raises; the key store is undone
-        so the map is left unchanged.
-        """
         keys = self.keys
         keys[i] = key
         try:
@@ -243,6 +243,12 @@ class FixedLongMap:
         self.array_size += 1
         if kind == MISSING_VACANT:
             self.tombstones -= 1
+        return True
+
+    def _rebuild_mask(self, kind: int) -> int | None:
+        """The mask to rebuild at before inserting a key ``_probe`` reported
+        as ``kind`` (not FOUND), or None to go ahead. A fixed map never does."""
+        return None
 
     def remove(self, key: int) -> bool:
         """Remove ``key`` if present; removing an absent key is a no-op.

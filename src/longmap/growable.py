@@ -1,5 +1,6 @@
-"""A FixedLongMap that rebuilds its own arrays.
+"""A FixedLongMap that rebuilds its own arrays: the rule for when, and how.
 
+Every insert runs ``FixedLongMap.update``, which asks ``_rebuild_mask``.
 Live keys and tombstones both use up slots. When an insert into a 0 slot
 would take the used slots past ``growth_threshold`` of the capacity, the map
 rebuilds, reinserting every live pair into fresh arrays: at double the
@@ -16,13 +17,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from . import core
 from .core import (
-    FOUND,
-    LONG_MIN,
     MAX_MASK_EXPONENT,
     MISSING_VACANT,
     MISSING_ZERO,
+    UNDEFINED,
     FixedLongMap,
     live_pairs,
     zero_entry,
@@ -53,52 +52,33 @@ class GrowableLongMap(FixedLongMap):
         self.growth_threshold = growth_threshold
         self.growth_count = 0
 
-    def update(self, key: int, value: int) -> bool:
-        """Insert or overwrite, rebuilding first if the slot budget demands it.
-
-        Returns False, leaving the map unchanged, only when the key's probe
-        budget holds neither the key nor a free slot on a table without
-        tombstones whose capacity has reached the 2**30 ceiling or
+    def _rebuild_mask(self, kind: int) -> int | None:
+        """The mask to rebuild at before inserting a ``kind`` key, or None to
+        go ahead. So ``update`` refuses (returns False, map unchanged) only a
+        key whose probe budget holds neither it nor a free slot, on a table
+        without tombstones whose capacity has reached the 2**30 ceiling or
         ``REJECTION_GROWTH_LIMIT`` times what its live keys need.
         """
-        if key == 0 or key == LONG_MIN:
-            # Sentinels occupy no array slot.
-            return FixedLongMap.update(self, key, value)
-        while True:
-            # Through the module attribute, as FixedLongMap's own ops look
-            # it up, so a wrapper patched over core._probe sees these too.
-            kind, i, _ = core._probe(key, self.keys, self.mask)
-            if kind == FOUND:
-                self.values[i] = value
-                return True
-            capacity = self.mask + 1
-            limit = self.growth_threshold * capacity
-            if kind == MISSING_VACANT or (
-                kind == MISSING_ZERO and self.array_size + self.tombstones + 1 <= limit
-            ):
-                self._fill(kind, i, key, value)
-                return True
-            if kind == MISSING_ZERO:
-                # Scala's LongMap repacks in place only when tombstones are
-                # more than a fifth of the table; with fewer, a map whose live
-                # keys sit just under the threshold would repack every few
-                # inserts.
-                if self.array_size + 1 <= limit and 5 * self.tombstones > capacity:
-                    self._rebuild(self.mask)
-                elif self._can_grow():
-                    self._rebuild(2 * self.mask + 1)
-                else:  # at the ceiling: past the threshold, as a fixed map would
-                    self._fill(kind, i, key, value)
-                    return True
-            elif self.tombstones:
-                self._rebuild(self.mask)
-            elif self._can_grow() and REJECTION_GROWTH_LIMIT * (self.array_size + 1) > limit:
-                self._rebuild(2 * self.mask + 1)
-            else:
-                return False
-
-    def _can_grow(self) -> bool:
-        return self.capacity < (1 << MAX_MASK_EXPONENT)
+        capacity = self.mask + 1
+        limit = self.growth_threshold * capacity
+        if kind == MISSING_VACANT or (
+            kind == MISSING_ZERO and self.array_size + self.tombstones + 1 <= limit
+        ):
+            return None
+        can_grow = capacity < (1 << MAX_MASK_EXPONENT)
+        if kind == UNDEFINED:
+            if self.tombstones:
+                return self.mask
+            if can_grow and REJECTION_GROWTH_LIMIT * (self.array_size + 1) > limit:
+                return 2 * self.mask + 1
+            return None
+        # Scala's LongMap repacks in place only when tombstones are more than
+        # a fifth of the table; with fewer, a map whose live keys sit just
+        # under the threshold would repack every few inserts.
+        if self.array_size + 1 <= limit and 5 * self.tombstones > capacity:
+            return self.mask
+        # At the ceiling: past the threshold, as a fixed map would.
+        return 2 * self.mask + 1 if can_grow else None
 
     def _rebuild(self, mask: int) -> None:
         """Move the live pairs into fresh arrays of ``mask + 1`` slots."""

@@ -182,7 +182,7 @@ def test_occupancy_bounded_after_updates():
     for i in range(200):
         k = rng.getrandbits(62) + 1
         assert g.update(k, i)
-        assert g.array_size <= 0.5 * g.capacity or not g._can_grow()
+        assert g.array_size <= 0.5 * g.capacity or g.capacity >= 1 << growable.MAX_MASK_EXPONENT
 
 
 def test_capacity_ceiling(monkeypatch):
@@ -198,6 +198,61 @@ def test_capacity_ceiling(monkeypatch):
     # Sentinels still fit beside a maxed-out array.
     assert g.update(0, 7)
     assert g.size == 5
+
+
+def test_capacity_ceiling_fills_past_the_threshold(monkeypatch):
+    # At the ceiling an insert into a 0 slot past the threshold is stored,
+    # as a fixed map would store it, instead of growing or refusing.
+    monkeypatch.setattr(growable, "MAX_MASK_EXPONENT", 2)
+    g = GrowableLongMap(3)
+    for k in (11, 22, 33):
+        assert g.update(k, k)
+    assert (g.capacity, g.array_size, g.growth_count) == (4, 3, 0)
+    assert g.get(33) == 33
+
+
+@pytest.mark.parametrize(
+    "kind, live, tombstones, mask",
+    [
+        ("MISSING_VACANT", 16, 10, None),
+        ("MISSING_ZERO", 9, 6, None),  # used slots reach the threshold, not past it
+        ("MISSING_ZERO", 9, 7, 31),  # past it; tombstones over a fifth: repack
+        ("MISSING_ZERO", 10, 6, 63),  # tombstones at most a fifth: double
+        ("MISSING_ZERO", 16, 10, 63),  # live keys alone past it: double
+        ("UNDEFINED", 3, 1, 31),  # out of budget with tombstones: repack
+        ("UNDEFINED", 8, 0, 63),  # below the rejection growth limit: double
+        ("UNDEFINED", 7, 0, None),  # at it: refuse
+    ],
+)
+def test_rebuild_mask_rules(kind, live, tombstones, mask):
+    g = GrowableLongMap(31)  # capacity 32, threshold 0.5: 16 used slots
+    g.array_size, g.tombstones = live, tombstones
+    assert g._rebuild_mask(getattr(core, kind)) == mask
+
+
+@pytest.mark.parametrize("kind, live", [("MISSING_ZERO", 16), ("UNDEFINED", 8)])
+def test_rebuild_mask_at_the_ceiling(monkeypatch, kind, live):
+    monkeypatch.setattr(growable, "MAX_MASK_EXPONENT", 5)
+    g = GrowableLongMap(31)
+    g.array_size = live
+    assert g._rebuild_mask(getattr(core, kind)) is None
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [(33, 2**64, OverflowError), (2**64, 3, OverflowError), (33, "x", TypeError)],
+)
+def test_unstorable_insert_leaves_the_map_unchanged(key, value, error):
+    # The third key would grow the map; a pair the arrays cannot hold must
+    # raise before that rebuild, not after it.
+    g = GrowableLongMap(3)
+    assert g.update(11, 1) and g.update(22, 2)
+    keys = g.keys.tobytes()
+    with pytest.raises(error):
+        g.update(key, value)
+    assert (g.capacity, g.growth_count, g.size) == (4, 0, 2)
+    assert g.keys.tobytes() == keys
+    assert check(g).valid
 
 
 def test_delegation():
