@@ -1,23 +1,20 @@
-"""Occupancy-factor benchmark for the map.
+"""Occupancy-factor report for the map: probe lengths, nothing timed.
 
 Fills a map to a sequence of increasing occupancy levels and, at each level,
-times get/update/remove and records the probe-length distribution of the
-underlying seeks. The map state is identical before and after each level's
-measurements: timed updates overwrite present keys, and each timed removal
-of a present key is undone immediately (the reinsert reclaims the exact
-tombstone just created), so levels stay stationary and comparable. The twin
-model and invariant checker are never involved here.
+draws the keys of a get/overwrite/remove mix and records the probe-length
+distribution of their seeks (``core._probe``) on the filled table. No drawn
+op is executed, so each level sees exactly the state its fill left, and the
+report is a function of the flags and the seed. The twin model and invariant
+checker are never involved here; wall-clock timing lives under
+``benchmarks/``.
 """
 
 from __future__ import annotations
 
 import random
-import statistics
-import time
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .core import LONG_MIN, FixedLongMap, _probe
+from .core import LONG_MIN, MAX_MASK_EXPONENT, FixedLongMap, _probe
 from .growable import GrowableLongMap
 
 
@@ -25,10 +22,9 @@ from .growable import GrowableLongMap
 class LevelStats:
     target_occupancy: float
     achieved_occupancy: float
-    measured_ops: int
+    measured_ops: int  # probed keys
     mean_probe_length: float
     probe_histogram: dict = field(default_factory=dict)  # probe length -> count
-    latency_ns: dict = field(default_factory=dict)  # op -> {"median": .., "p99": ..}
 
 
 @dataclass
@@ -38,17 +34,6 @@ class BenchReport:
     seed: int
     ops_per_level: int
     levels: list = field(default_factory=list)
-
-
-def _percentile99(samples: list) -> float:
-    ordered = sorted(samples)
-    return float(ordered[round(0.99 * (len(ordered) - 1))])
-
-
-def _latency(samples: list) -> Optional[dict]:
-    if not samples:
-        return None
-    return {"median": float(statistics.median(samples)), "p99": _percentile99(samples)}
 
 
 def _fresh_absent_key(rng: random.Random, taken: set) -> int:
@@ -66,11 +51,11 @@ def run_bench(
     seed: int = 0,
     growable: bool = False,
 ) -> BenchReport:
-    """Measure latency and probe lengths at each occupancy level.
+    """Probe-length histogram and mean at each occupancy level.
 
     Levels are fractions of the starting capacity 2**mask_exponent and must
-    be strictly increasing in [0, 1); key draws are deterministic from the
-    seed, latencies are wall-clock.
+    be strictly increasing in [0, 1); fill keys and probed keys are drawn
+    from the seed, so equal arguments give an equal report.
     """
     levels = list(levels)
     if not levels:
@@ -79,21 +64,17 @@ def run_bench(
         raise ValueError("occupancy levels must lie in [0, 1)")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("occupancy levels must be strictly increasing")
-    if not 0 <= mask_exponent <= 30:
-        raise ValueError(f"mask_exponent outside 0..30: {mask_exponent}")
+    if not 0 <= mask_exponent <= MAX_MASK_EXPONENT:
+        raise ValueError(f"mask_exponent outside 0..{MAX_MASK_EXPONENT}: {mask_exponent}")
     if ops_per_level <= 0:
         raise ValueError("ops_per_level must be positive")
 
     mask = (1 << mask_exponent) - 1
     base_capacity = mask + 1
-    if growable:
-        m = GrowableLongMap(mask)
-    else:
-        m = FixedLongMap(mask)
+    m = GrowableLongMap(mask) if growable else FixedLongMap(mask)
 
     rng = random.Random(seed)
     present: list[int] = []
-    stored: dict[int, int] = {}
     taken: set = set()
 
     report = BenchReport(
@@ -107,76 +88,40 @@ def run_bench(
         want = round(target * base_capacity)
         while len(present) < want:
             k = _fresh_absent_key(rng, taken)
-            v = rng.getrandbits(64) - (1 << 63)
-            if not m.update(k, v):
+            if not m.update(k, rng.getrandbits(64) - (1 << 63)):
                 raise AssertionError(f"fill insert failed at occupancy {target}")
             taken.add(k)
             present.append(k)
-            stored[k] = v
-        report.levels.append(
-            _measure_level(m, target, present, stored, taken, ops_per_level, rng)
-        )
+        report.levels.append(_measure_level(m, target, present, taken, ops_per_level, rng))
     return report
 
 
-def _measure_level(
-    m, target: float, present: list, stored: dict, taken: set, ops_per_level: int, rng
-) -> LevelStats:
-    def pick_present() -> Optional[int]:
-        return present[rng.randrange(len(present))] if present else None
+def _measure_level(m, target: float, present: list, taken: set, ops_per_level: int, rng) -> LevelStats:
+    def draw(hit: bool) -> int:
+        if hit and present:
+            return present[rng.randrange(len(present))]
+        return _fresh_absent_key(rng, taken)
 
-    get_keys = []
-    update_keys = []
-    remove_keys = []
+    # Per op a get, an overwrite of a present key and a remove; even ops get
+    # and remove a present key, odd ones an absent key.
+    probed = []
     for i in range(ops_per_level):
-        hit = pick_present() if i % 2 == 0 else None
-        get_keys.append(hit if hit is not None else _fresh_absent_key(rng, taken))
-        update_keys.append(pick_present())
-        hit = pick_present() if i % 2 == 0 else None
-        remove_keys.append((hit, True) if hit is not None else (_fresh_absent_key(rng, taken), False))
-    update_keys = [k for k in update_keys if k is not None]
-    update_values = [rng.getrandbits(64) - (1 << 63) for _ in update_keys]
-
-    perf = time.perf_counter_ns
-    get_ns = []
-    for k in get_keys:
-        t0 = perf()
-        m.get(k)
-        get_ns.append(perf() - t0)
-
-    update_ns = []
-    for k, v in zip(update_keys, update_values):
-        t0 = perf()
-        m.update(k, v)
-        update_ns.append(perf() - t0)
-        stored[k] = v
-
-    remove_ns = []
-    for k, was_present in remove_keys:
-        t0 = perf()
-        m.remove(k)
-        remove_ns.append(perf() - t0)
-        if was_present:
-            # Undo outside the timed window; the reinsert reclaims the
-            # tombstone the removal just left, restoring the exact layout.
-            m.update(k, stored[k])
+        probed.append(draw(i % 2 == 0))
+        if present:
+            probed.append(draw(True))
+        probed.append(draw(i % 2 == 0))
+    # One unused value draw per overwrite keeps each seed's keys those of earlier versions.
+    for _ in range(ops_per_level if present else 0):
+        rng.getrandbits(64)
 
     histogram: dict[int, int] = {}
-    probes_total = 0
-    measured = 0
-    keys_arr, msk = m.keys, m.mask
-    for k in get_keys + update_keys + [k for k, _ in remove_keys]:
-        _, _, iters = _probe(k, keys_arr, msk)
+    for k in probed:
+        _, _, iters = _probe(k, m.keys, m.mask)
         histogram[iters + 1] = histogram.get(iters + 1, 0) + 1
-        probes_total += iters + 1
-        measured += 1
-
-    latency = {"get": _latency(get_ns), "update": _latency(update_ns), "remove": _latency(remove_ns)}
     return LevelStats(
         target_occupancy=target,
         achieved_occupancy=m.array_size / m.capacity,
-        measured_ops=measured,
-        mean_probe_length=probes_total / measured if measured else 0.0,
+        measured_ops=len(probed),
+        mean_probe_length=sum(n * c for n, c in histogram.items()) / len(probed),
         probe_histogram=histogram,
-        latency_ns=latency,
     )

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 from .core import (
     LONG_MAX,
     LONG_MIN,
+    MAX_MASK_EXPONENT,
     MAX_PROBES,
     FixedLongMap,
     is_valid_key,
@@ -51,8 +52,8 @@ class FuzzConfig:
     sentinel_weight: float = 0.05  # probability of drawing each of 0 and LONG_MIN
 
     def __post_init__(self):
-        if not 0 <= self.mask_exponent <= 30:
-            raise ValueError(f"mask_exponent outside 0..30: {self.mask_exponent}")
+        if not 0 <= self.mask_exponent <= MAX_MASK_EXPONENT:
+            raise ValueError(f"mask_exponent outside 0..{MAX_MASK_EXPONENT}: {self.mask_exponent}")
         if self.op_count <= 0:
             raise ValueError("op_count must be positive")
         if not 0.0 <= self.sentinel_weight <= 0.5:
@@ -471,7 +472,7 @@ def parse_trace(text: str) -> tuple[int, list]:
         raise ParseError(1, f"expected 'mask <decimal>', got {lines[0]!r}")
     mask = parse_int(header[1], 1, "mask")
     if not valid_mask(mask):
-        raise ParseError(1, f"mask {mask} is not 2**n - 1 with n <= 30")
+        raise ParseError(1, f"mask {mask} is not 2**n - 1 with n <= {MAX_MASK_EXPONENT}")
 
     ops = []
     for ln, line in enumerate(lines[1:], start=2):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import LONG_MIN, MAX_PROBES, is_valid_key, next_probe, to_index, valid_mask
+from .core import LONG_MIN, MAX_MASK_EXPONENT, MAX_PROBES, is_valid_key, next_probe, to_index, valid_mask
 
 
 @dataclass
@@ -93,7 +93,7 @@ def check(m) -> InvariantReport:
     problems = []
 
     if not valid_mask(m.mask):
-        problems.append(f"mask {m.mask} is not 2**n - 1 with n <= 30")
+        problems.append(f"mask {m.mask} is not 2**n - 1 with n <= {MAX_MASK_EXPONENT}")
     if len(m.values) != m.mask + 1:
         problems.append(f"values length {len(m.values)} != mask + 1 = {m.mask + 1}")
     if len(m.keys) != len(m.values):

@@ -280,7 +280,29 @@ def test_bench_empty_level_probes_once():
     assert level.achieved_occupancy == 0.0
     assert set(level.probe_histogram) == {1}
     assert level.mean_probe_length == 1.0
-    assert level.latency_ns["update"] is None  # nothing present to overwrite
+
+
+def test_bench_full_table_level_keeps_its_keys():
+    from longmap.bench import run_bench
+
+    # round(0.97 * 16) == 16 fills the fixed table: no 0 slot is left.
+    report = run_bench(4, [0.5, 0.97], 200)
+    assert report.levels[-1].achieved_occupancy == 1.0
+
+
+@pytest.mark.parametrize("mode", [[], ["--growable"]], ids=["fixed", "growable"])
+def test_bench_output_is_deterministic(tmp_path, capsys, mode):
+    out_path = tmp_path / "bench.json"
+    argv = [
+        "bench", "--mask-exp", "7", "--levels", "0.2,0.45,0.8",
+        "--ops-per-level", "150", "--seed", "4", "--out", str(out_path), *mode,
+    ]
+    runs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        runs.append((out, out_path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_bench_rejects_bad_levels(capsys):

@@ -4,7 +4,8 @@ The map (``core``) and the reference model (``listmap``) stand alone; the
 growable map (a ``FixedLongMap`` that reallocates its own arrays) and the
 invariant build on the map only. None of them imports the test harness
 (``conformance``) or anything above it. Nor does the package keep a public
-name that neither it nor its exports use.
+name that neither it nor its exports use, nor a clock: timing belongs to
+``benchmarks/``, so every command's output is a function of its input.
 """
 
 import ast
@@ -81,3 +82,17 @@ def test_unexported_names_have_a_caller_in_the_package():
     assert "run_trace" in defined and "equivalence_violation" in used
     unused = [f"{mod}.{name}" for name, mod in defined.items() if name not in exported and name not in used]
     assert unused == []
+
+
+def test_no_module_imports_time():
+    clocked = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            clocked += [f"{path.stem}: {n}" for n in names if n.split(".")[0] == "time"]
+    assert clocked == []
