@@ -25,6 +25,7 @@ from .core import (
     FixedLongMap,
     is_valid_key,
     live_pairs,
+    to_index,
     valid_mask,
     zero_entry,
 )
@@ -186,10 +187,6 @@ def generate_trace(cfg: FuzzConfig) -> tuple[int, list]:
     return mask, ops
 
 
-def _default_stride(capacity: int) -> int:
-    return 1 if capacity <= 64 else 64
-
-
 def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     """Why ``name(k)`` returning False breaks the contract, or None.
 
@@ -204,7 +201,7 @@ def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     # speed decide; only a violation needs the walk that names its slot.
     if mask < MAX_PROBES and k not in keys and 0 not in keys:
         return None
-    i = _stop_slot(keys, k, _probe_offsets(mask))
+    i = _stop_slot(keys, k, to_index(k, mask), _probe_offsets(mask))
     if i is None:
         return None
     return f"{name}({k}) returned False but slot {i} in its probe budget holds {keys[i]}"
@@ -221,63 +218,69 @@ def _sentinels_agree(m, model: ListMap) -> bool:
 class _VerifiedState:
     """Copy of the last map state that ``equivalence_violation`` accepted.
 
-    Holds the key and value arrays, the slot of each live key in them and
-    the key array they were copied from. ``accepts`` then verifies an op by
-    the slots it touched instead of the whole array.
+    Holds the key and value arrays, the sentinel fields, the slot of each
+    live key and the key array they were copied from. ``accepts`` verifies
+    an op by the slots it touched, walking a probe path only for a fresh
+    insert, instead of comparing the whole array with the model.
     """
 
-    __slots__ = ("source", "keys", "values", "slot_of")
+    __slots__ = ("source", "keys", "values", "sentinels", "slot_of")
 
     def __init__(self, m):
         self.source = m.keys
         self.keys = array("q", m.keys)
         self.values = array("q", m.values)
+        self.sentinels = (m.extra_keys, m.zero_value, m.min_value)
         self.slot_of = {k: i for i, k in enumerate(m.keys) if k != 0 and k != LONG_MIN}
 
     def accepts(self, m, model: ListMap, k: int) -> bool:
         """True iff equivalence of ``m`` with ``model`` after an op on ``k``
         follows from the copy's plus the change the op made.
 
-        The change may touch only the slot holding ``k`` in the copy and the
-        slot where ``k``'s probe path now reaches ``k`` before a 0, each of
-        them only ever holding 0, LONG_MIN or ``k``; every other slot must
-        equal the copy. The model changed at ``k`` alone, so it suffices
-        that ``k`` is held exactly when the model holds it, with the model's
-        value, and that the sentinel fields agree. A reallocated table never
-        passes. On True the copy takes the change; on False it is stale and
-        the full check decides.
+        An op on 0 or LONG_MIN may change only the sentinel fields, which
+        must agree with the model. Any other op must leave them as copied
+        and may touch only the slot holding ``k`` in the copy and, on a
+        fresh insert, the slot where ``k``'s probe path now reaches ``k``,
+        each only ever holding 0, LONG_MIN or ``k``; every other slot must
+        equal the copy. The copy had no duplicate and matched the model,
+        which changed at ``k`` alone, so it suffices that ``k`` is held
+        exactly when the model holds it, with the model's value. A
+        reallocated table never passes. On True the copy takes the change;
+        on False it is stale and the full check decides.
         """
         keys, values = m.keys, m.values
         old_keys, old_values = self.keys, self.values
-        if keys is not self.source or len(keys) != len(old_keys) or not _sentinels_agree(m, model):
+        sentinels = (m.extra_keys, m.zero_value, m.min_value)
+        if keys is not self.source or len(keys) != len(old_keys):
             return False
         if k == 0 or k == LONG_MIN:
-            return keys == old_keys and values == old_values
-        new = _stop_slot(keys, k, _probe_offsets(len(keys) - 1))
-        if new is not None and keys[new] != k:
-            new = None
-        slots = {self.slot_of.get(k), new}
-        slots.discard(None)
-        holders = []
+            self.sentinels = sentinels
+            return keys == old_keys and values == old_values and _sentinels_agree(m, model)
+        if sentinels != self.sentinels:
+            return False
+        want = model.get(k)
+        was = self.slot_of.get(k)
+        slots = () if was is None else (was,)
+        if want is not None and (was is None or keys[was] != k):
+            mask = len(keys) - 1
+            new = _stop_slot(keys, k, to_index(k, mask), _probe_offsets(mask))
+            if new is not None and keys[new] == k:
+                slots += (new,)
+        holder = None
         for i in slots:
             if keys[i] not in (0, LONG_MIN, k) or old_keys[i] not in (0, LONG_MIN, k):
                 return False
             old_keys[i] = keys[i]
             old_values[i] = values[i]
             if keys[i] == k:
-                holders.append(i)
+                holder = i
         if keys != old_keys or values != old_values:
             return False
-        want = model.get(k)
-        if want is None:
-            if holders:
-                return False
+        if holder is None:
             self.slot_of.pop(k, None)
-        elif len(holders) != 1 or values[holders[0]] != want:
-            return False
-        else:
-            self.slot_of[k] = holders[0]
-        return True
+            return want is None
+        self.slot_of[k] = holder
+        return values[holder] == want
 
 
 def _apply_checked(m, model: ListMap, op: TraceOp, default_entry) -> tuple[ListMap, Optional[str]]:
@@ -336,7 +339,7 @@ def run_trace(
     if map_factory is None:
         map_factory = FixedLongMap
     if invariant_stride is None:
-        invariant_stride = _default_stride(mask + 1)
+        invariant_stride = 1 if mask < 64 else 64
 
     m = map_factory(mask, default_entry)
     model = ListMap.empty()
@@ -388,10 +391,6 @@ def run_trace(
     )
 
 
-def _diverges(ops, mask, **kw) -> bool:
-    return run_trace(ops, mask, shrink=False, **kw).divergence is not None
-
-
 def _shrink_trace(ops, mask, **kw) -> list:
     """Greedy chunk removal keeping any candidate that still diverges."""
     current = ops
@@ -400,7 +399,7 @@ def _shrink_trace(ops, mask, **kw) -> list:
         i = 0
         while i < len(current):
             candidate = current[:i] + current[i + chunk :]
-            if candidate and _diverges(candidate, mask, **kw):
+            if candidate and run_trace(candidate, mask, shrink=False, **kw).divergence is not None:
                 current = candidate
             else:
                 i += chunk

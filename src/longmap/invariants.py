@@ -4,9 +4,9 @@
 conditions over the key array: the valid-key and tombstone counts match the
 stored ``array_size`` and ``tombstones``, every stored key is reachable by
 its own probe sequence (walked here, independently of ``core._probe``), and
-no valid key is duplicated. It accepts arbitrary (including corrupt) states
-and reports rather than raises; full evaluation may cost O(n * MAX_PROBES),
-so gate it behind debug paths in production code.
+no valid key is duplicated, which is looked for only when a key is
+unseekable. It reports rather than raises on any state, corrupt ones too;
+full evaluation may cost O(n * MAX_PROBES), so gate it behind debug paths.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ def _probe_offsets(mask: int) -> tuple:
     return tuple(dict.fromkeys(offsets))
 
 
-def _stop_slot(keys, k: int, offsets) -> Optional[int]:
-    """First slot holding ``k`` or 0 on ``k``'s probe path through ``offsets``
-    (``_probe_offsets`` of the table's mask), or None when the budget runs out."""
+def _stop_slot(keys, k: int, home: int, offsets) -> Optional[int]:
+    """First slot holding ``k`` or 0 on its probe path from ``home`` through
+    ``offsets`` (``_probe_offsets`` of the mask), or None when the budget runs out."""
     mask = len(keys) - 1
-    home = to_index(k, mask)
     for d in offsets:
         i = (home + d) & mask
         q = keys[i]
@@ -72,8 +71,11 @@ def _stop_slot(keys, k: int, offsets) -> Optional[int]:
 def _seekability_violation(keys, mask: int) -> Optional[int]:
     offsets = _probe_offsets(mask)
     for i, k in enumerate(keys):
-        if k != 0 and k != LONG_MIN and _stop_slot(keys, k, offsets) != i:
-            return i
+        if k != 0 and k != LONG_MIN:
+            home = to_index(k, mask)
+            # The first offset is 0, so a key in its home slot stops there.
+            if home != i and _stop_slot(keys, k, home, offsets) != i:
+                return i
     return None
 
 
@@ -106,8 +108,8 @@ def check(m) -> InvariantReport:
         problems.append(f"extra_keys {m.extra_keys} outside 0..3")
     simple = not problems
 
-    counted = count_valid_keys(m.keys)
     tombstones = m.keys.count(LONG_MIN)
+    counted = len(m.keys) - m.keys.count(0) - tombstones
     count_ok = counted == m.array_size and tombstones == m.tombstones
     if counted != m.array_size:
         problems.append(f"counted {counted} valid keys but array_size is {m.array_size}")
@@ -126,12 +128,9 @@ def check(m) -> InvariantReport:
         seek_ok = False
         problems.append("seekability not evaluable: mask/array structure invalid")
 
-    # Fewer distinct valid keys than valid slots means a duplicate; only
-    # then is one looked for.
-    distinct = set(m.keys)
-    distinct.discard(0)
-    distinct.discard(LONG_MIN)
-    dup = None if len(distinct) == counted else _duplicate_witness(m.keys)
+    # Every seekable key is at its own stop slot, and a key has one stop
+    # slot, so a duplicate is looked for only when seekability fails.
+    dup = None if seek_ok else _duplicate_witness(m.keys)
     dup_ok = dup is None
     if not dup_ok:
         k, i, j = dup

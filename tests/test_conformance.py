@@ -1,5 +1,6 @@
 """Conformance apparatus: snapshots, equivalence, trace runner, shrinking."""
 
+import copy
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from longmap import (
     run_trace,
     snapshot_model,
     to_index,
+    zero_entry,
 )
 from longmap.conformance import (
     FuzzConfig,
@@ -449,6 +451,119 @@ def test_full_check_runs_once_per_growth(monkeypatch):
     res = run_trace(ops, mask, map_factory=lambda mask, entry: GrowableLongMap(1, entry), shrink=False)
     assert res.ok and res.final_map.growth_count > 0
     assert len(calls) == 1 + res.final_map.growth_count
+
+
+SMALL_VALUES = (1, 2, 3)  # few values, so a rewritten value often equals the old one
+
+
+def corrupted(rng, m, model, k, pool):
+    """At most one fault after an op on ``k``: in one slot's key or value,
+    in a sentinel field, in the model's entry for ``k``, or ``k`` moved to
+    another slot over what it held. Returns the model."""
+    fault = rng.randrange(8)
+    i = rng.randrange(len(m.keys))
+    if fault == 0:
+        m.keys[i] = rng.choice(pool)
+    elif fault == 1:
+        m.values[i] = rng.choice(SMALL_VALUES)
+    elif fault == 2:
+        m.extra_keys = rng.randrange(4)
+    elif fault == 3:
+        m.zero_value = rng.choice(SMALL_VALUES)
+    elif fault == 4:
+        m.min_value = rng.choice(SMALL_VALUES)
+    elif fault == 5:
+        return model.remove(k) if rng.random() < 0.5 else model.insert(k, rng.choice(SMALL_VALUES))
+    elif fault == 6 and k in m.keys:
+        j = m.keys.index(k)
+        m.keys[i], m.values[i] = k, m.values[j]
+        if i != j:
+            m.keys[j] = rng.choice((0, LONG_MIN))
+    return model
+
+
+def test_delta_step_accepts_only_equivalent_states():
+    # Random walks from empty maps at masks 0 to 15 over six keys and the
+    # two sentinels, the copy kept across ops as run_trace keeps it. Half
+    # the ops run on a fork of the map and its copy and are then faulted;
+    # whenever the delta step accepts, the full check must agree.
+    rng = random.Random(2107)
+    pool = [rng.getrandbits(63) + 1 for _ in range(6)] + [0, LONG_MIN]
+    unsound = []
+    forks = {True: 0, False: 0}
+    for _ in range(400):
+        mask = rng.choice((0, 1, 3, 7, 15))
+        m, model, verified = FixedLongMap(mask), ListMap.empty(), None
+        for _ in range(60):
+            kind = rng.choice("UUURGC")
+            op = TraceOp(kind, rng.choice(pool), rng.choice(SMALL_VALUES) if kind == "U" else 0)
+            forked = rng.random() < 0.5
+            t, state = copy.deepcopy((m, verified)) if forked else (m, verified)
+            after, msg = conformance._apply_checked(t, model, op, zero_entry)
+            assert msg is None
+            if forked:
+                after = corrupted(rng, t, after, op.key, pool)
+            accepted = state is not None and state.accepts(t, after, op.key)
+            if accepted and equivalence_violation(t, after) is not None:
+                unsound.append((mask, op, list(t.keys), list(t.values), after.items()))
+            if forked:
+                forks[accepted] += 1
+                continue
+            if not accepted:
+                assert equivalence_violation(m, after) is None
+                verified = conformance._VerifiedState(m)
+            model = after
+    assert unsound == []
+    assert min(forks.values()) > 100
+
+
+def count_walks(monkeypatch) -> list:
+    """Record the key of every probe-path walk the checker makes, by monkeypatch."""
+    walked = []
+    walk = conformance._stop_slot
+
+    def counted(keys, k, *rest):
+        walked.append(k)
+        return walk(keys, k, *rest)
+
+    monkeypatch.setattr(conformance, "_stop_slot", counted)
+    return walked
+
+
+def test_delta_step_walks_only_for_fresh_inserts(monkeypatch):
+    mask, ops = generate_trace(FuzzConfig(seed=4, op_count=2048, mask_exponent=10))
+    bare, held, fresh = FixedLongMap(mask), set(), []
+    for op in ops:
+        if op.kind == "U":
+            if is_valid_key(op.key) and op.key not in held:
+                fresh.append(op.key)
+            held.add(op.key)
+            assert bare.update(op.key, op.value)  # no refusal, so none is walked
+        elif op.kind == "R":
+            held.discard(op.key)
+            assert bare.remove(op.key)
+    walked = count_walks(monkeypatch)
+    assert run_trace(ops, mask, shrink=False).ok
+    assert walked == fresh
+
+
+def test_delta_step_walks_no_path_for_reads_overwrites_and_removes_of_absent_keys(monkeypatch):
+    rng = random.Random(5)
+    stored = [rng.getrandbits(63) + 1 for _ in range(48)]
+    absent = [rng.getrandbits(63) + 1 for _ in range(16)]
+    m, model = FixedLongMap(63), ListMap.empty()
+    for k in stored + [0]:
+        model, msg = conformance._apply_checked(m, model, TraceOp("U", k, k & 0xFF), zero_entry)
+        assert msg is None
+    verified = conformance._VerifiedState(m)
+    tail = [TraceOp(kind, k) for k in stored + [0, LONG_MIN] for kind in "GC"]
+    tail += [TraceOp("U", k, 7) for k in stored + [0]] + [TraceOp("R", k) for k in absent + [LONG_MIN]]
+    tail += [TraceOp(kind, k) for k in absent for kind in "GC"]
+    walked = count_walks(monkeypatch)
+    for op in tail:
+        model, msg = conformance._apply_checked(m, model, op, zero_entry)
+        assert msg is None and verified.accepts(m, model, op.key), op
+    assert walked == []
 
 
 def test_trace_format_round_trip():

@@ -5,9 +5,18 @@ from array import array
 
 from hypothesis import given, strategies as st
 
-from longmap import LONG_MIN, FixedLongMap, is_valid_key, to_index
+from longmap import (
+    LONG_MIN,
+    MAX_MASK_EXPONENT,
+    MAX_PROBES,
+    FixedLongMap,
+    is_valid_key,
+    next_probe,
+    to_index,
+    valid_mask,
+)
 from longmap.core import FOUND, _probe
-from longmap.invariants import check, count_valid_keys
+from longmap.invariants import InvariantReport, check, count_valid_keys
 
 
 def test_is_valid_key():
@@ -149,3 +158,105 @@ def test_seekable_implies_missing_means_absent():
             assert k not in set(m.keys)
         else:
             assert m.keys[i] == k
+
+
+def reference_stop_slot(keys, k, mask):
+    """First slot holding ``k`` or 0 on ``k``'s probe sequence, walked probe
+    by probe; below MAX_PROBES slots the first mask + 1 probes cover all."""
+    e = to_index(k, mask)
+    for x in range(1, min(MAX_PROBES, mask + 1) + 1):
+        if keys[e] == k or keys[e] == 0:
+            return e
+        e = next_probe(e, x, mask)
+    return None
+
+
+def reference_check(m) -> InvariantReport:
+    """The invariant report worked out the long way: every stored key's path
+    walked, duplicates counted with a set whatever seekability says."""
+    problems = []
+    if not valid_mask(m.mask):
+        problems.append(f"mask {m.mask} is not 2**n - 1 with n <= {MAX_MASK_EXPONENT}")
+    if len(m.values) != m.mask + 1:
+        problems.append(f"values length {len(m.values)} != mask + 1 = {m.mask + 1}")
+    if len(m.keys) != len(m.values):
+        problems.append(f"keys length {len(m.keys)} != values length {len(m.values)}")
+    if m.array_size < 0:
+        problems.append(f"array_size {m.array_size} < 0")
+    if m.array_size > m.mask + 1:
+        problems.append(f"array_size {m.array_size} > capacity {m.mask + 1}")
+    if not 0 <= m.extra_keys <= 3:
+        problems.append(f"extra_keys {m.extra_keys} outside 0..3")
+    simple = not problems
+
+    counted = count_valid_keys(m.keys)
+    tombstones = list(m.keys).count(LONG_MIN)
+    if counted != m.array_size:
+        problems.append(f"counted {counted} valid keys but array_size is {m.array_size}")
+    if tombstones != m.tombstones:
+        problems.append(f"counted {tombstones} tombstones but tombstones is {m.tombstones}")
+
+    seek_ok = valid_mask(m.mask) and len(m.keys) == m.mask + 1
+    if seek_ok:
+        for i, k in enumerate(m.keys):
+            if is_valid_key(k) and reference_stop_slot(m.keys, k, m.mask) != i:
+                problems.append(f"key {k} at index {i} is not seekable")
+                seek_ok = False
+                break
+    else:
+        problems.append("seekability not evaluable: mask/array structure invalid")
+
+    valid_keys = [k for k in m.keys if is_valid_key(k)]
+    dup_ok = len(set(valid_keys)) == len(valid_keys)
+    if not dup_ok:
+        first = {}
+        for i, k in enumerate(m.keys):
+            if is_valid_key(k) and first.setdefault(k, i) != i:
+                problems.append(f"key {k} duplicated at indexes {first[k]} and {i}")
+                break
+
+    return InvariantReport(
+        simple_valid=simple,
+        count_matches_size=counted == m.array_size and tombstones == m.tombstones,
+        all_keys_seekable=seek_ok,
+        no_duplicates=dup_ok,
+        first_violation=problems[0] if problems else None,
+    )
+
+
+def random_state(rng, pool):
+    """A map state at mask 0 to 7: reached by ops, or random slots (with
+    duplicates and keys off their paths); its counters, sentinel bits and
+    array lengths sometimes wrong."""
+    mask = rng.choice((0, 1, 3, 7))
+    if rng.random() < 0.5:
+        m = FixedLongMap(mask)
+        for _ in range(rng.randrange(3 * (mask + 1))):
+            k = rng.choice(pool)
+            m.update(k, rng.randrange(4)) if rng.random() < 0.6 else m.remove(k)
+        keys, values = list(m.keys), list(m.values)
+        if rng.random() < 0.3:
+            keys[rng.randrange(mask + 1)] = rng.choice(pool)
+    else:
+        keys = [rng.choice(pool) for _ in range(mask + 1)]
+        values = [rng.randrange(4) for _ in range(mask + 1)]
+    array_size = count_valid_keys(keys) + rng.choice((0, 0, 0, 0, -1, 1))
+    tombstones = keys.count(LONG_MIN) + rng.choice((0, 0, 0, 0, -1, 1))
+    extra_keys = rng.choice((0, 1, 2, 3, 4))
+    fault = rng.randrange(8)
+    if fault == 0:
+        keys.append(rng.choice(pool))  # one slot too long
+    elif fault == 1:
+        mask = 5  # not 2**n - 1
+    return FixedLongMap.unchecked(mask, keys, values, array_size, tombstones, extra_keys, 0, 0)
+
+
+def test_check_reports_what_the_long_way_reports():
+    rng = random.Random(13)
+    pool = [0, 0, LONG_MIN, LONG_MIN] + [rng.getrandbits(63) + 1 for _ in range(6)]
+    reports = [(check(m), reference_check(m)) for m in (random_state(rng, pool) for _ in range(20000))]
+    assert [(got, want) for got, want in reports if got != want] == []
+    # The states cover every kind of report.
+    for field in ("simple_valid", "count_matches_size", "all_keys_seekable", "no_duplicates"):
+        assert {getattr(want, field) for _, want in reports} == {True, False}
+    assert sum(want.valid for _, want in reports) > 1000

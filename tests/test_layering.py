@@ -55,6 +55,21 @@ def test_module_imports_only_lower_layers(module):
     assert package_imports(module) <= ALLOWED[module]
 
 
+@pytest.mark.parametrize("module", ["conformance", "invariants"])
+def test_checkers_use_no_private_name_of_core(module):
+    # The checkers walk probe paths by the invariant's own loop, never by the
+    # map's: a defect in the map's probe loop must not hide in its checker.
+    private = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "core":
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value).split(".")[-1] == "core":
+                private.append(node.attr)
+    assert "core" in package_imports(module)
+    assert private == []
+
+
 def test_unexported_names_have_a_caller_in_the_package():
     # A public function or class that longmap.__all__ does not export must
     # be used somewhere in the package; one only the tests call is dead
