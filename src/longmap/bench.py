@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import LONG_MIN, MAX_MASK_EXPONENT, FixedLongMap, _probe
+from .core import LONG_MIN, MAX_MASK_EXPONENT, MAX_PROBES, FixedLongMap, _probe
 from .growable import GrowableLongMap
 
 
@@ -114,10 +114,12 @@ def _measure_level(m, target: float, present: list, taken: set, ops_per_level: i
     for _ in range(ops_per_level if present else 0):
         rng.getrandbits(64)
 
+    # An UNDEFINED seek reports MAX_PROBES iterations; count the slots it inspected.
     histogram: dict[int, int] = {}
     for k in probed:
         _, _, iters = _probe(k, m.keys, m.mask)
-        histogram[iters + 1] = histogram.get(iters + 1, 0) + 1
+        n = min(iters + 1, m.mask + 1, MAX_PROBES)
+        histogram[n] = histogram.get(n, 0) + 1
     return LevelStats(
         target_occupancy=target,
         achieved_occupancy=m.array_size / m.capacity,

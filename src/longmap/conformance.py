@@ -15,6 +15,7 @@ import random
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .core import (
@@ -33,6 +34,8 @@ from .invariants import _probe_offsets, _stop_slot, check as check_invariant
 from .listmap import ListMap
 
 OP_KINDS = ("U", "R", "G", "C")
+# The mask, both counters and the sentinel fields of a map.
+_fields = attrgetter("mask", "array_size", "tombstones", "extra_keys", "zero_value", "min_value")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ class TraceResult:
     ops_run: int
     final_size: int
     counts: dict = field(default_factory=dict)
-    invariant_checks: int = 0
     equivalence_checks: int = 0
     divergence: Optional[Divergence] = None
     minimized: Optional[list] = None
@@ -216,65 +218,70 @@ def _sentinels_agree(m, model: ListMap) -> bool:
 
 
 class _VerifiedState:
-    """Copy of the last map state that ``equivalence_violation`` accepted.
+    """Copy of the last map state that the full check accepted.
 
-    Holds the key and value arrays, the sentinel fields, the slot of each
-    live key and the key array they were copied from. ``accepts`` verifies
-    an op by the slots it touched, walking a probe path only for a fresh
-    insert, instead of comparing the whole array with the model.
+    Holds the key and value arrays, the key array they were copied from,
+    the slot of each live key, and the mask, counters and sentinel fields.
     """
 
-    __slots__ = ("source", "keys", "values", "sentinels", "slot_of")
+    __slots__ = ("source", "keys", "values", "fields", "slot_of")
 
     def __init__(self, m):
         self.source = m.keys
         self.keys = array("q", m.keys)
         self.values = array("q", m.values)
-        self.sentinels = (m.extra_keys, m.zero_value, m.min_value)
+        self.fields = _fields(m)
         self.slot_of = {k: i for i, k in enumerate(m.keys) if k != 0 and k != LONG_MIN}
 
     def accepts(self, m, model: ListMap, k: int) -> bool:
-        """True iff equivalence of ``m`` with ``model`` after an op on ``k``
-        follows from the copy's plus the change the op made.
+        """The paper's per-op lemma on one state: True iff ``m`` after an op
+        on ``k`` follows from the copy, so it matches ``model`` and passes
+        ``check_invariant``.
 
-        An op on 0 or LONG_MIN may change only the sentinel fields, which
-        must agree with the model. Any other op must leave them as copied
-        and may touch only the slot holding ``k`` in the copy and, on a
-        fresh insert, the slot where ``k``'s probe path now reaches ``k``,
-        each only ever holding 0, LONG_MIN or ``k``; every other slot must
-        equal the copy. The copy had no duplicate and matched the model,
-        which changed at ``k`` alone, so it suffices that ``k`` is held
-        exactly when the model holds it, with the model's value. A
-        reallocated table never passes. On True the copy takes the change;
-        on False it is stale and the full check decides.
+        The mask must be as copied. An op on 0 or LONG_MIN may change only
+        the sentinel fields, which must agree with the model, ``extra_keys``
+        in 0..3. Any other op must keep them and may touch only ``k``'s slot
+        in the copy and, on a fresh insert, the slot where ``k``'s probe path
+        now reaches ``k``: each held 0, LONG_MIN or ``k`` and now holds
+        LONG_MIN, ``k`` or its old value, and the counters move by those
+        transitions. Every other slot equals the copy. Refinement: the copy
+        had no duplicate and matched the model, which changed at ``k`` alone,
+        so ``k`` must be held exactly when the model holds it, with its value.
+        Invariant: no slot turns back into 0 or takes another key, so every
+        other key's probe path still stops at its slot; ``k`` is where the
+        walk stops or on an untouched path. A reallocated table never passes.
+        On True the copy takes the change; on False it is stale.
         """
         keys, values = m.keys, m.values
         old_keys, old_values = self.keys, self.values
-        sentinels = (m.extra_keys, m.zero_value, m.min_value)
-        if keys is not self.source or len(keys) != len(old_keys):
+        fields, (mask, size, tombstones) = _fields(m), self.fields[:3]
+        if keys is not self.source or len(keys) != len(old_keys) or fields[0] != mask:
             return False
         if k == 0 or k == LONG_MIN:
-            self.sentinels = sentinels
-            return keys == old_keys and values == old_values and _sentinels_agree(m, model)
-        if sentinels != self.sentinels:
+            self.fields = fields
+            same = keys == old_keys and values == old_values and fields[1:3] == (size, tombstones)
+            return same and 0 <= m.extra_keys <= 3 and _sentinels_agree(m, model)
+        if fields[3:] != self.fields[3:]:
             return False
         want = model.get(k)
         was = self.slot_of.get(k)
         slots = () if was is None else (was,)
         if want is not None and (was is None or keys[was] != k):
-            mask = len(keys) - 1
             new = _stop_slot(keys, k, to_index(k, mask), _probe_offsets(mask))
             if new is not None and keys[new] == k:
                 slots += (new,)
         holder = None
         for i in slots:
-            if keys[i] not in (0, LONG_MIN, k) or old_keys[i] not in (0, LONG_MIN, k):
+            old, now = old_keys[i], keys[i]
+            if old not in (0, LONG_MIN, k) or now not in (LONG_MIN, k, old):
                 return False
-            old_keys[i] = keys[i]
-            old_values[i] = values[i]
-            if keys[i] == k:
+            size += (now == k) - (old == k)
+            tombstones += (now == LONG_MIN) - (old == LONG_MIN)
+            old_keys[i], old_values[i] = now, values[i]
+            if now == k:
                 holder = i
-        if keys != old_keys or values != old_values:
+        self.fields = fields
+        if fields[1:3] != (size, tombstones) or keys != old_keys or values != old_values:
             return False
         if holder is None:
             self.slot_of.pop(k, None)
@@ -321,30 +328,26 @@ def run_trace(
     *,
     default_entry: Callable[[int], int] = zero_entry,
     map_factory: Optional[Callable] = None,
-    invariant_stride: Optional[int] = None,
     shrink: bool = True,
 ) -> TraceResult:
     """Execute ``ops`` differentially against the model, checking contracts.
 
-    After every op the twins must agree observably and the whole array must
-    match the model. An op is verified by the slots it touched against the
-    last state the full check (``equivalence_violation``) accepted; the full
+    After every op the twins must agree observably, the whole array must
+    match the model and the map must satisfy the class invariant. An op is
+    verified by the slots it touched against the last state the full check
+    (``equivalence_violation``, then ``check_invariant``) accepted; the full
     check runs on the first op, after growth and whenever that does not
-    settle it, and it alone words a divergence. The invariant is checked
-    every ``invariant_stride`` ops (default 1 for capacity <= 64, else 64).
-    The first divergence stops the run; with ``shrink`` a minimized
-    reproducing trace is attached to the result.
+    settle it, and it alone words a divergence. The first divergence stops
+    the run; with ``shrink`` a minimized reproducing trace is attached to
+    the result.
     """
     ops = list(ops)
     if map_factory is None:
         map_factory = FixedLongMap
-    if invariant_stride is None:
-        invariant_stride = 1 if mask < 64 else 64
 
     m = map_factory(mask, default_entry)
     model = ListMap.empty()
     counts = {kind: 0 for kind in OP_KINDS}
-    inv_checks = 0
     eq_checks = 0
     divergence = None
     verified = None
@@ -358,13 +361,10 @@ def run_trace(
                 eq = equivalence_violation(m, model)
                 if eq is not None:
                     msg = f"snapshot != model: {eq}"
+                elif not (report := check_invariant(m)).valid:
+                    msg = f"invariant violated: {report.first_violation}"
                 else:
                     verified = _VerifiedState(m)
-        if msg is None and (idx + 1) % invariant_stride == 0:
-            inv_checks += 1
-            report = check_invariant(m)
-            if not report.valid:
-                msg = f"invariant violated: {report.first_violation}"
         if msg is not None:
             divergence = Divergence(idx, op, msg)
             break
@@ -372,18 +372,13 @@ def run_trace(
     minimized = None
     if divergence is not None and shrink:
         minimized = _shrink_trace(
-            list(ops[: divergence.op_index + 1]),
-            mask,
-            default_entry=default_entry,
-            map_factory=map_factory,
-            invariant_stride=invariant_stride,
+            ops[: divergence.op_index + 1], mask, default_entry=default_entry, map_factory=map_factory
         )
 
     return TraceResult(
         ops_run=(divergence.op_index + 1) if divergence else len(ops),
         final_size=m.size,
         counts=counts,
-        invariant_checks=inv_checks,
         equivalence_checks=eq_checks,
         divergence=divergence,
         minimized=minimized,

@@ -61,6 +61,13 @@ MUTANTS = (
     ),
     Mutant("probe-step-off-by-one", core, "_probe", {"* x - 3)": "* x - 2)"}),
     Mutant("tombstone-not-counted", core.FixedLongMap, "remove", {"self.tombstones += 1": "self.tombstones += 0"}),
+    Mutant(
+        "rebuild-keeps-tombstones",
+        growable.GrowableLongMap,
+        "_rebuild",
+        {"self.tombstones = 0": "self.tombstones = self.tombstones"},
+        map_factory=_growable_from_one,
+    ),
 )
 
 # Observable only where a probe path runs 2048 slots deep, which no fuzz

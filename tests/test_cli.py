@@ -62,6 +62,25 @@ def test_integer_flags_refuse_what_the_file_formats_refuse(capsys, argv):
     assert sum("error" in line for line in err) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--mask-exp", "4", "--levels", "0.2_5"],
+        ["bench", "--mask-exp", "4", "--levels", "\u0660.\u0665"],
+        ["bench", "--mask-exp", "4", "--levels", "0.1,,0.5"],
+        ["fuzz", "--mask-exp", "3", "--ops", "10", "--sentinel-weight", "0.0_5"],
+    ],
+)
+def test_fractional_flags_refuse_what_the_integer_flags_refuse(capsys, argv):
+    # float() takes digit separators and non-ASCII digits; the flags do not,
+    # and an empty --levels item is not dropped.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    err = err.splitlines()
+    assert "is not a decimal fraction" in err[-1]
+    assert sum("error" in line for line in err) == 1
+
+
 def test_fuzz_rejects_bad_sentinel_weight(capsys):
     code, _, err = run_cli(capsys, "fuzz", "--mask-exp", "3", "--sentinel-weight", "0.9")
     assert code == 2
@@ -285,9 +304,11 @@ def test_bench_empty_level_probes_once():
 def test_bench_full_table_level_keeps_its_keys():
     from longmap.bench import run_bench
 
-    # round(0.97 * 16) == 16 fills the fixed table: no 0 slot is left.
+    # round(0.97 * 16) == 16 fills the fixed table: no 0 slot is left, and
+    # a miss inspects all 16 slots.
     report = run_bench(4, [0.5, 0.97], 200)
     assert report.levels[-1].achieved_occupancy == 1.0
+    assert max(report.levels[-1].probe_histogram) == 16
 
 
 @pytest.mark.parametrize("mode", [[], ["--growable"]], ids=["fixed", "growable"])

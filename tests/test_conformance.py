@@ -13,6 +13,7 @@ from longmap import (
     FixedLongMap,
     GrowableLongMap,
     ListMap,
+    check,
     is_valid_key,
     next_probe,
     run_fuzz,
@@ -171,7 +172,7 @@ def test_run_fuzz_small_masks_clean():
 def test_run_fuzz_mask_255_clean():
     res = run_fuzz(FuzzConfig(seed=255, op_count=4000, mask_exponent=8))
     assert res.ok, res.divergence
-    assert res.invariant_checks > 0
+    assert res.equivalence_checks == 4000
 
 
 def test_trace_capacity_exhaustion():
@@ -454,13 +455,16 @@ def test_full_check_runs_once_per_growth(monkeypatch):
 
 
 SMALL_VALUES = (1, 2, 3)  # few values, so a rewritten value often equals the old one
+MASKS = (0, 1, 3, 7, 15)
 
 
 def corrupted(rng, m, model, k, pool):
     """At most one fault after an op on ``k``: in one slot's key or value,
-    in a sentinel field, in the model's entry for ``k``, or ``k`` moved to
-    another slot over what it held. Returns the model."""
-    fault = rng.randrange(8)
+    in a sentinel field, in the model's entry for ``k``, ``k`` moved to
+    another slot over what it held, a counter off by one, the mask changed,
+    ``extra_keys`` past 3, or a tombstone emptied with the count kept right.
+    Returns the model."""
+    fault = rng.randrange(12)
     i = rng.randrange(len(m.keys))
     if fault == 0:
         m.keys[i] = rng.choice(pool)
@@ -479,6 +483,17 @@ def corrupted(rng, m, model, k, pool):
         m.keys[i], m.values[i] = k, m.values[j]
         if i != j:
             m.keys[j] = rng.choice((0, LONG_MIN))
+    elif fault == 7:
+        m.array_size += rng.choice((-1, 1))
+    elif fault == 8:
+        m.tombstones += rng.choice((-1, 1))
+    elif fault == 9:
+        m.mask = rng.choice([x for x in MASKS if x != m.mask])
+    elif fault == 10:
+        m.extra_keys += 4
+    elif fault == 11 and LONG_MIN in m.keys:
+        m.keys[rng.choice([j for j, q in enumerate(m.keys) if q == LONG_MIN])] = 0
+        m.tombstones -= 1
     return model
 
 
@@ -486,13 +501,14 @@ def test_delta_step_accepts_only_equivalent_states():
     # Random walks from empty maps at masks 0 to 15 over six keys and the
     # two sentinels, the copy kept across ops as run_trace keeps it. Half
     # the ops run on a fork of the map and its copy and are then faulted;
-    # whenever the delta step accepts, the full check must agree.
+    # whenever the delta step accepts, the full check must agree: the state
+    # matches the model and passes the class invariant.
     rng = random.Random(2107)
     pool = [rng.getrandbits(63) + 1 for _ in range(6)] + [0, LONG_MIN]
     unsound = []
     forks = {True: 0, False: 0}
     for _ in range(400):
-        mask = rng.choice((0, 1, 3, 7, 15))
+        mask = rng.choice(MASKS)
         m, model, verified = FixedLongMap(mask), ListMap.empty(), None
         for _ in range(60):
             kind = rng.choice("UUURGC")
@@ -504,13 +520,13 @@ def test_delta_step_accepts_only_equivalent_states():
             if forked:
                 after = corrupted(rng, t, after, op.key, pool)
             accepted = state is not None and state.accepts(t, after, op.key)
-            if accepted and equivalence_violation(t, after) is not None:
+            if accepted and (equivalence_violation(t, after) is not None or not check(t).valid):
                 unsound.append((mask, op, list(t.keys), list(t.values), after.items()))
             if forked:
                 forks[accepted] += 1
                 continue
             if not accepted:
-                assert equivalence_violation(m, after) is None
+                assert equivalence_violation(m, after) is None and check(m).valid
                 verified = conformance._VerifiedState(m)
             model = after
     assert unsound == []

@@ -299,12 +299,7 @@ def test_constructor_validation():
 def test_growable_fuzz_trace_clean():
     cfg = FuzzConfig(seed=404, op_count=2500, mask_exponent=5)
     mask, ops = generate_trace(cfg)
-    res = run_trace(
-        ops,
-        mask,
-        map_factory=lambda m, de: GrowableLongMap(1, de),
-        invariant_stride=32,
-    )
+    res = run_trace(ops, mask, map_factory=lambda m, de: GrowableLongMap(1, de))
     assert res.ok, res.divergence
     assert res.final_map.growth_count >= 1
 

@@ -3,7 +3,10 @@
 Each mutant from ``mutants.py`` runs on the same three fuzz traces (seed 42,
 3000 ops, capacities 2^3, 2^6 and 2^10), and the op index where ``run_trace``
 first reports a divergence is pinned. A later index, or none, means the
-checker got weaker.
+checker got weaker. ``run_trace`` checks the model and the class invariant
+after every op, so a mutant that breaks either is caught at the op that
+breaks it: the counter and tombstone mutants at the first remove of a
+present key.
 
 The off-by-one probe step lays keys out by its own step; the invariant
 walks each stored key's path by the true step, independently of the map's
@@ -26,13 +29,14 @@ from test_seek import probe_violation
 EXPONENTS = (3, 6, 10)
 
 CAUGHT_AT = {
-    "remove-writes-zero": (24, 39, 319),
-    "size-not-decremented": (24, 39, 319),
+    "remove-writes-zero": (24, 39, 298),
+    "size-not-decremented": (24, 39, 298),
     "sentinel-bits-swapped": (41, 9, 83),
     "get-ignores-default": (4, 3, 11),
     "growth-drops-a-pair": (1, 5, 1),
-    "probe-step-off-by-one": (11, 49, 63),
-    "tombstone-not-counted": (24, 39, 319),
+    "probe-step-off-by-one": (11, 49, 58),
+    "tombstone-not-counted": (24, 39, 298),
+    "rebuild-keeps-tombstones": (46, 49, 308),
 }
 
 
@@ -84,14 +88,14 @@ def test_probe_step_mutant_caught_by_the_criterion_6_reference():
 def test_colliding_trace_catches_the_probe_path_mutants():
     # Inserts of 2049 keys sharing one probe path: at capacity 2^10 the
     # table fills and the rest are refused; at 2^12 the 2048th key sits on
-    # the budget's last probe and the 2049th is refused. Invariant checks
-    # are left out: each would walk 2048 keys down that one path.
+    # the budget's last probe and the 2049th is refused. The full invariant
+    # check runs on the first op only; after it the delta step walks just
+    # each fresh key's path, so the probe-step mutant is caught at op 1.
     ops = [TraceOp("U", k, k) for k in colliding_keys(2049)]
-    stride = len(ops) + 1
     mutant = next(m for m in MUTANTS if m.name == "probe-step-off-by-one")
-    for m, exp, caught in ((mutant, 10, 288), (BUDGET_MUTANT, 12, 2047)):
+    for m, exp, caught in ((mutant, 10, 1), (BUDGET_MUTANT, 12, 2047)):
         mask = (1 << exp) - 1
-        assert run_trace(ops, mask, shrink=False, invariant_stride=stride).ok
+        assert run_trace(ops, mask, shrink=False).ok
         with applied(m):
-            res = run_trace(ops, mask, shrink=False, invariant_stride=stride)
+            res = run_trace(ops, mask, shrink=False)
         assert res.divergence.op_index == caught, res.divergence
