@@ -25,7 +25,6 @@ from .core import (
     MAX_PROBES,
     FixedLongMap,
     is_valid_key,
-    live_pairs,
     to_index,
     valid_mask,
     zero_entry,
@@ -109,6 +108,12 @@ def snapshot_model(m) -> ListMap:
     if m.extra_keys & 2:
         pairs[LONG_MIN] = m.min_value
     return ListMap._from_sorted(tuple(sorted(pairs.items())))
+
+
+def live_pairs(m) -> list:
+    """Ascending ``(key, value)`` pairs of the slots holding neither 0 nor
+    LONG_MIN, one per slot: a key stored twice appears twice."""
+    return sorted((k, v) for k, v in zip(m.keys, m.values) if k != 0 and k != LONG_MIN)
 
 
 def equivalence_violation(m, model: Optional[ListMap] = None) -> Optional[str]:

@@ -61,14 +61,6 @@ def to_index(key: int, mask: int) -> int:
     return (x ^ (x >> 13)) & mask
 
 
-def live_pairs(m) -> list:
-    """Ascending ``(key, value)`` pairs of the slots holding neither 0 nor LONG_MIN.
-
-    Growth reinserts them in this order; the checker compares them with the model.
-    """
-    return sorted((k, v) for k, v in zip(m.keys, m.values) if k != 0 and k != LONG_MIN)
-
-
 def next_probe(e: int, x: int, mask: int) -> int:
     """Next slot after ``e`` on probe iteration ``x`` (caller pre-increments x)."""
     # mask + 1 divides 2**32, so masking directly matches 32-bit wraparound.

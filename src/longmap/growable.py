@@ -3,8 +3,9 @@
 Every insert runs ``FixedLongMap.update``, which asks ``_rebuild_mask``.
 Live keys and tombstones both use up slots. When an insert into a 0 slot
 would take the used slots past ``growth_threshold`` of the capacity, the map
-rebuilds, reinserting every live pair into fresh arrays: at double the
-capacity when the live keys alone would pass the threshold or tombstones
+rebuilds. As Scala's ``repack`` does, it puts each live pair, in ascending
+key order, into the first 0 slot of its probe path in fresh arrays: at double
+the capacity when the live keys alone would pass the threshold or tombstones
 make up at most a fifth of the table, else at the same capacity, which only
 clears the tombstones. An insert that reuses a tombstone never rebuilds.
 An insert that its probe budget cannot place repacks in place when there
@@ -18,12 +19,15 @@ from __future__ import annotations
 from typing import Callable
 
 from .core import (
+    LONG_MIN,
     MAX_MASK_EXPONENT,
+    MAX_PROBES,
     MISSING_VACANT,
     MISSING_ZERO,
     UNDEFINED,
     FixedLongMap,
-    live_pairs,
+    next_probe,
+    to_index,
     zero_entry,
 )
 
@@ -81,13 +85,26 @@ class GrowableLongMap(FixedLongMap):
         return 2 * self.mask + 1 if can_grow else None
 
     def _rebuild(self, mask: int) -> None:
-        """Move the live pairs into fresh arrays of ``mask + 1`` slots."""
+        """Move the live pairs into fresh arrays of ``mask + 1`` slots, each
+        key to the first 0 slot of its probe path, within ``_probe``'s budget."""
+        pairs = dict(zip(self.keys, self.values))
+        pairs.pop(0, None)
+        pairs.pop(LONG_MIN, None)
         new = FixedLongMap(mask)
+        keys, values = new.keys, new.values
+        limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES
         # Ascending key order fixes the new layout independently of the old.
-        for k, v in live_pairs(self):
-            if not new.update(k, v):
-                raise AssertionError(f"reinsert of {k} failed while rebuilding")
+        for k in sorted(pairs):
+            e = to_index(k, mask)
+            x = 0
+            while keys[e]:
+                x += 1
+                if x == limit:
+                    raise AssertionError(f"reinsert of {k} failed while rebuilding")
+                e = next_probe(e, x, mask)
+            keys[e] = k
+            values[e] = pairs[k]
         if mask != self.mask:
             self.growth_count += 1
-        self.mask, self.keys, self.values = new.mask, new.keys, new.values
+        self.mask, self.keys, self.values = mask, keys, values
         self.tombstones = 0

@@ -56,7 +56,7 @@ MUTANTS = (
         "growth-drops-a-pair",
         growable.GrowableLongMap,
         "_rebuild",
-        {"live_pairs(self)": "live_pairs(self)[1:]"},
+        {"sorted(pairs)": "sorted(pairs)[1:]"},
         map_factory=_growable_from_one,
     ),
     Mutant("probe-step-off-by-one", core, "_probe", {"* x - 3)": "* x - 2)"}),
@@ -66,6 +66,13 @@ MUTANTS = (
         growable.GrowableLongMap,
         "_rebuild",
         {"self.tombstones = 0": "self.tombstones = self.tombstones"},
+        map_factory=_growable_from_one,
+    ),
+    Mutant(
+        "rebuild-ignores-occupied-slots",
+        growable.GrowableLongMap,
+        "_rebuild",
+        {"while keys[e]:": "while False:"},
         map_factory=_growable_from_one,
     ),
 )

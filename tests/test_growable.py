@@ -176,6 +176,60 @@ def test_growth_lays_out_pairs_in_ascending_key_order():
     assert any(extra == 3 for _, extra in grown)
 
 
+def random_keys(seed, n):
+    rng = random.Random(seed)
+    return [rng.getrandbits(64) - (1 << 63) for _ in range(n)]
+
+
+def repack_regime():
+    # Tombstones above a fifth of the table: the rebuild is in place.
+    g = GrowableLongMap(63)
+    keys = random_keys(31, 30)
+    for k in keys:
+        assert g.update(k, ~k)
+    for k in keys[::2]:
+        assert g.remove(k)
+    assert (g.capacity, g.tombstones) == (64, 15) and 5 * g.tombstones > g.capacity
+    return g, g.mask
+
+
+def colliding_regime():
+    # 300 keys on one probe path: placing the last walks 299 probes deep.
+    g = GrowableLongMap(1023)
+    for k in colliding_keys(300):
+        assert g.update(k, k >> 7)
+    return g, 2 * g.mask + 1
+
+
+def sentinel_regime():
+    g = GrowableLongMap(31)
+    keys = random_keys(37, 12)
+    for k in keys + [0, LONG_MIN]:
+        assert g.update(k, k ^ 5)
+    assert g.remove(keys[0])
+    assert g.extra_keys == 3 and g.tombstones == 1
+    return g, 2 * g.mask + 1
+
+
+@pytest.mark.parametrize("regime", [repack_regime, colliding_regime, sentinel_regime])
+def test_rebuild_matches_a_fresh_fill_in_ascending_key_order(regime):
+    # Whatever the old layout, a rebuild lays the live pairs out as a fresh
+    # map does that receives them by update in ascending key order.
+    g, mask = regime()
+    model = snapshot_model(g)
+    fresh = FixedLongMap(mask)
+    for k, v in model.items():
+        assert fresh.update(k, v)
+    grown = g.growth_count + (mask != g.mask)
+    g._rebuild(mask)
+    assert g.keys == fresh.keys
+    assert g.values == fresh.values
+    assert (g.extra_keys, g.zero_value, g.min_value) == (fresh.extra_keys, fresh.zero_value, fresh.min_value)
+    assert (g.mask, g.tombstones, g.growth_count) == (mask, 0, grown)
+    assert snapshot_model(g) == model
+    assert check(g).valid
+
+
 def test_occupancy_bounded_after_updates():
     rng = random.Random(23)
     g = GrowableLongMap(1, growth_threshold=0.5)

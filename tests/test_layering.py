@@ -70,16 +70,48 @@ def test_checkers_use_no_private_name_of_core(module):
     assert private == []
 
 
-def test_unexported_names_have_a_caller_in_the_package():
-    # A public function or class that longmap.__all__ does not export must
-    # be used somewhere in the package; one only the tests call is dead
-    # library surface.
+def exported_names() -> list:
+    """``longmap.__all__``, read from the source."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
     )
+
+
+def unused_imports(source: str, exported=()) -> list:
+    """Names that ``source`` imports and never reads, in import order.
+    Names in ``exported`` count as read: a package re-exports them."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used and name not in exported]
+
+
+def test_unused_imports_are_seen():
+    src = "from .core import LONG_MIN, live_pairs\nimport a.b\n\ndef f(k):\n    return k == LONG_MIN\n"
+    assert unused_imports(src) == ["live_pairs", "a"]
+    assert unused_imports(src, exported=["live_pairs"]) == ["a"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    # A stale import keeps a dependency alive after its last caller is gone.
+    exported = exported_names() if path.name == "__init__.py" else ()
+    assert unused_imports(path.read_text(), exported) == []
+
+
+def test_unexported_names_have_a_caller_in_the_package():
+    # A public function or class that longmap.__all__ does not export must
+    # be used somewhere in the package; one only the tests call is dead
+    # library surface.
+    exported = exported_names()
     defined = {}
     used = set()
     for path in sorted(PACKAGE.glob("*.py")):

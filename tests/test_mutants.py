@@ -37,6 +37,7 @@ CAUGHT_AT = {
     "probe-step-off-by-one": (11, 49, 58),
     "tombstone-not-counted": (24, 39, 298),
     "rebuild-keeps-tombstones": (46, 49, 308),
+    "rebuild-ignores-occupied-slots": (12, 29, 18),
 }
 
 
