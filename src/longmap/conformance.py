@@ -33,6 +33,7 @@ from .invariants import _probe_offsets, _stop_slot, check as check_invariant
 from .listmap import ListMap
 
 OP_KINDS = ("U", "R", "G", "C")
+_OP_NAMES = dict(zip(OP_KINDS, ("update", "remove", "get", "contains")))
 # The mask, both counters and the sentinel fields of a map.
 _fields = attrgetter("mask", "array_size", "tombstones", "extra_keys", "zero_value", "min_value")
 
@@ -342,9 +343,9 @@ def run_trace(
     verified by the slots it touched against the last state the full check
     (``equivalence_violation``, then ``check_invariant``) accepted; the full
     check runs on the first op, after growth and whenever that does not
-    settle it, and it alone words a divergence. The first divergence stops
-    the run; with ``shrink`` a minimized reproducing trace is attached to
-    the result.
+    settle it, and it alone words a divergence. A map op that raises is a
+    divergence as well. The first divergence stops the run; with ``shrink``
+    a minimized reproducing trace is attached to the result.
     """
     ops = list(ops)
     if map_factory is None:
@@ -359,7 +360,10 @@ def run_trace(
 
     for idx, op in enumerate(ops):
         counts[op.kind] = counts.get(op.kind, 0) + 1
-        model, msg = _apply_checked(m, model, op, default_entry)
+        try:
+            model, msg = _apply_checked(m, model, op, default_entry)
+        except Exception as exc:  # a map defect that raises is a divergence too
+            msg = f"{_OP_NAMES[op.kind]}({op.key}) raised {type(exc).__name__}: {exc}"
         if msg is None:
             eq_checks += 1
             if verified is None or not verified.accepts(m, model, op.key):

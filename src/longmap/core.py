@@ -200,7 +200,8 @@ class FixedLongMap:
 
         Returns False (leaving the map unchanged) only when the probe budget
         runs out without finding the key or a free slot and ``_rebuild_mask``
-        asks for no rebuild. A key or value array('q') cannot hold raises.
+        asks for no rebuild. A key or value array('q') cannot hold raises,
+        as does a ``_rebuild_mask`` that never lets the insert go ahead.
         """
         if key == 0 or key == LONG_MIN:
             # Held to what the value array can hold: raises as the array
@@ -213,6 +214,7 @@ class FixedLongMap:
                 self.min_value = value
                 self.extra_keys |= 2
             return True
+        rebuilds = 0
         while True:
             kind, i, _ = _probe(key, self.keys, self.mask)
             if kind == FOUND:
@@ -221,6 +223,9 @@ class FixedLongMap:
             mask = self._rebuild_mask(kind)
             if mask is None:
                 break
+            rebuilds += 1  # after one, no tombstones: only doubling is left
+            if rebuilds > MAX_MASK_EXPONENT + 1:
+                raise AssertionError(f"update({key}) asked for {rebuilds} rebuilds; a sound rule needs fewer")
             array("q", (key, value))  # raises as the store would, before the rebuild
             self._rebuild(mask)
         if kind == UNDEFINED:

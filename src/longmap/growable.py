@@ -1,11 +1,11 @@
 """A FixedLongMap that rebuilds its own arrays: the rule for when, and how.
 
 Every insert runs ``FixedLongMap.update``, which asks ``_rebuild_mask``.
-Live keys and tombstones both use up slots. When an insert into a 0 slot
-would take the used slots past ``growth_threshold`` of the capacity, the map
-rebuilds. As Scala's ``repack`` does, it puts each live pair, in ascending
-key order, into the first 0 slot of its probe path in fresh arrays: at double
-the capacity when the live keys alone would pass the threshold or tombstones
+Live keys and tombstones both use up slots. An insert into a 0 slot that
+would take them past half the capacity, Scala's fixed threshold, rebuilds
+the map. As Scala's ``repack`` does, it puts each live pair, in ascending
+key order, into the first 0 slot of its probe path in fresh arrays: at
+double the capacity when the live keys alone would pass half or tombstones
 make up at most a fifth of the table, else at the same capacity, which only
 clears the tombstones. An insert that reuses a tombstone never rebuilds.
 An insert that its probe budget cannot place repacks in place when there
@@ -31,29 +31,19 @@ from .core import (
     zero_entry,
 )
 
-# An insert that no probe budget admits doubles the map only while this
-# multiple of the live keys plus the new one exceeds the threshold, that is
-# while capacity is below this multiple of what those keys need. Keys sharing
-# one 32-bit hash share their probe path at every capacity: growth cannot help.
+# An insert that no probe budget admits doubles the map only while capacity
+# is below this multiple of what the live keys plus the new one need. Keys on
+# one 32-bit hash share their probe path at every capacity: growth can't help.
 REJECTION_GROWTH_LIMIT = 2
 
 
 class GrowableLongMap(FixedLongMap):
     """FixedLongMap minus the capacity ceiling (up to 2**30)."""
 
-    __slots__ = ("growth_threshold", "growth_count")
+    __slots__ = ("growth_count",)
 
-    def __init__(
-        self,
-        mask: int = 1,
-        default_entry: Callable[[int], int] = zero_entry,
-        *,
-        growth_threshold: float = 0.5,
-    ):
-        if not 0.0 < growth_threshold <= 1.0:
-            raise ValueError(f"growth_threshold must be in (0, 1], got {growth_threshold}")
+    def __init__(self, mask: int = 1, default_entry: Callable[[int], int] = zero_entry):
         FixedLongMap.__init__(self, mask, default_entry)
-        self.growth_threshold = growth_threshold
         self.growth_count = 0
 
     def _rebuild_mask(self, kind: int) -> int | None:
@@ -61,27 +51,27 @@ class GrowableLongMap(FixedLongMap):
         go ahead. So ``update`` refuses (returns False, map unchanged) only a
         key whose probe budget holds neither it nor a free slot, on a table
         without tombstones whose capacity has reached the 2**30 ceiling or
-        ``REJECTION_GROWTH_LIMIT`` times what its live keys need.
+        ``REJECTION_GROWTH_LIMIT`` times what its live keys need at half load.
+        Each rule compares twice a slot count with the capacity, in integers.
         """
         capacity = self.mask + 1
-        limit = self.growth_threshold * capacity
         if kind == MISSING_VACANT or (
-            kind == MISSING_ZERO and self.array_size + self.tombstones + 1 <= limit
+            kind == MISSING_ZERO and 2 * (self.array_size + self.tombstones + 1) <= capacity
         ):
             return None
         can_grow = capacity < (1 << MAX_MASK_EXPONENT)
         if kind == UNDEFINED:
             if self.tombstones:
                 return self.mask
-            if can_grow and REJECTION_GROWTH_LIMIT * (self.array_size + 1) > limit:
+            if can_grow and 2 * REJECTION_GROWTH_LIMIT * (self.array_size + 1) > capacity:
                 return 2 * self.mask + 1
             return None
         # Scala's LongMap repacks in place only when tombstones are more than
         # a fifth of the table; with fewer, a map whose live keys sit just
-        # under the threshold would repack every few inserts.
-        if self.array_size + 1 <= limit and 5 * self.tombstones > capacity:
+        # under half the table would repack every few inserts.
+        if 2 * (self.array_size + 1) <= capacity and 5 * self.tombstones > capacity:
             return self.mask
-        # At the ceiling: past the threshold, as a fixed map would.
+        # At the ceiling: past half the table, as a fixed map would.
         return 2 * self.mask + 1 if can_grow else None
 
     def _rebuild(self, mask: int) -> None:

@@ -75,6 +75,20 @@ MUTANTS = (
         {"while keys[e]:": "while False:"},
         map_factory=_growable_from_one,
     ),
+    Mutant(
+        "rebuild-placement-budget-1",
+        growable.GrowableLongMap,
+        "_rebuild",
+        {"limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES": "limit = 1"},
+        map_factory=_growable_from_one,
+    ),
+    Mutant(
+        "rebuild-mask-never-settles",
+        growable.GrowableLongMap,
+        "_rebuild_mask",
+        {"return 2 * self.mask + 1 if can_grow else None": "return self.mask"},
+        map_factory=_growable_from_one,
+    ),
 )
 
 # Observable only where a probe path runs 2048 slots deep, which no fuzz

@@ -312,7 +312,7 @@ def test_criterion_09_growable_decorator():
     growth_checks = []
 
     def factory(mask, default_entry):
-        return GrowableLongMap(1, default_entry, growth_threshold=0.5)
+        return GrowableLongMap(1, default_entry)
 
     def on_grow(old, new):
         growth_checks.append(snapshot_model(old) == snapshot_model(new))

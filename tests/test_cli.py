@@ -373,6 +373,33 @@ def test_fuzz_divergence_writes_minimized_trace(tmp_path, capsys, diverging):
     assert trace_out.read_text().startswith("mask 7\n")
 
 
+class RaisingRemoveMap(FixedLongMap):
+    """Raises on a remove of a stored key, as a map with a defect might."""
+
+    def remove(self, key):
+        if self.contains(key):
+            raise RuntimeError("seeded failure")
+        return super().remove(key)
+
+
+def test_a_map_op_that_raises_is_a_divergence(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("longmap.conformance.FixedLongMap", RaisingRemoveMap)
+    trace_out = tmp_path / "min.trace"
+    code, out, _ = run_cli(
+        capsys,
+        "fuzz", "--seed", "21", "--ops", "500", "--mask-exp", "3",
+        "--trace-out", str(trace_out),
+    )
+    assert code == 1
+    assert "raised RuntimeError: seeded failure" in out.splitlines()[-2]
+    assert out.splitlines()[-1] == f"minimized 2 ops -> {trace_out}"
+    code, out, _ = run_cli(capsys, "replay", str(trace_out))
+    assert code == 1
+    last = out.splitlines()[-1]
+    assert last.startswith("result VIOLATION at op 1: remove(")
+    assert last.endswith(") raised RuntimeError: seeded failure")
+
+
 def test_module_entry_point():
     # The child imports the same package as this process, installed or not.
     src = os.path.dirname(os.path.dirname(longmap.__file__))

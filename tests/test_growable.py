@@ -1,5 +1,6 @@
 """Growable map: trigger arithmetic, model preservation, the ceiling."""
 
+import faulthandler
 import random
 from contextlib import contextmanager
 
@@ -19,7 +20,7 @@ def colliding_keys(n, h=0x2545F491):
     return [(c << 32) | (h ^ c) for c in range(1, n + 1)]
 
 
-def fill_colliding(n, growth_threshold=0.5):
+def fill_colliding(n):
     """A growable map from mask 1 after ``update(k, k)`` of ``colliding_keys(n)``,
     and the keys it refused, each refusal checked against the probe budget.
 
@@ -29,7 +30,7 @@ def fill_colliding(n, growth_threshold=0.5):
     ceiling = growable.MAX_MASK_EXPONENT
     growable.MAX_MASK_EXPONENT = 18
     try:
-        g = GrowableLongMap(1, growth_threshold=growth_threshold)
+        g = GrowableLongMap(1)
         refused = []
         for k in colliding_keys(n):
             if not g.update(k, k):
@@ -41,12 +42,25 @@ def fill_colliding(n, growth_threshold=0.5):
         growable.MAX_MASK_EXPONENT = ceiling
 
 
-def tombstone_free_capacity(n, growth_threshold=0.5):
-    """Smallest capacity, at least 2, whose threshold holds ``n`` keys."""
+def tombstone_free_capacity(n):
+    """Smallest capacity, at least 2, whose half holds ``n`` keys."""
     c = 2
-    while n > growth_threshold * c:
+    while 2 * n > c:
         c *= 2
     return c
+
+
+@contextmanager
+def hang_guard(seconds=60):
+    """End the whole run, exit status 1, if the block takes longer than
+    ``seconds``: a defect that loops forever fails the run instead of
+    stalling it. The stack dump goes to stderr, which pytest captures and
+    loses on that exit; run with ``-s`` to see it."""
+    faulthandler.dump_traceback_later(seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @contextmanager
@@ -80,7 +94,7 @@ def growth_watched(on_grow):
 
 
 def test_third_distinct_key_triggers_growth():
-    g = GrowableLongMap(3)  # capacity 4, threshold 0.5
+    g = GrowableLongMap(3)  # capacity 4, threshold half of it
     assert g.update(11, 1)
     assert g.update(22, 2)
     assert g.mask == 3 and g.growth_count == 0
@@ -231,17 +245,19 @@ def test_rebuild_matches_a_fresh_fill_in_ascending_key_order(regime):
 
 
 def test_occupancy_bounded_after_updates():
+    # Without removes each fresh insert leaves the map at exactly the
+    # smallest capacity whose half holds its keys: not one doubling early.
     rng = random.Random(23)
-    g = GrowableLongMap(1, growth_threshold=0.5)
-    for i in range(200):
+    g = GrowableLongMap(1)
+    for i in range(2000):
         k = rng.getrandbits(62) + 1
         assert g.update(k, i)
-        assert g.array_size <= 0.5 * g.capacity or g.capacity >= 1 << growable.MAX_MASK_EXPONENT
+        assert g.capacity == tombstone_free_capacity(g.array_size)
 
 
 def test_capacity_ceiling(monkeypatch):
     monkeypatch.setattr(growable, "MAX_MASK_EXPONENT", 2)
-    g = GrowableLongMap(1, growth_threshold=1.0)
+    g = GrowableLongMap(1)
     keys = [11, 22, 33, 44]
     for i, k in enumerate(keys):
         assert g.update(k, i)
@@ -279,9 +295,23 @@ def test_capacity_ceiling_fills_past_the_threshold(monkeypatch):
     ],
 )
 def test_rebuild_mask_rules(kind, live, tombstones, mask):
-    g = GrowableLongMap(31)  # capacity 32, threshold 0.5: 16 used slots
+    g = GrowableLongMap(31)  # capacity 32, threshold half of it: 16 used slots
     g.array_size, g.tombstones = live, tombstones
     assert g._rebuild_mask(getattr(core, kind)) == mask
+
+
+def test_a_rebuild_rule_that_never_settles_raises():
+    # A rebuild leaves no tombstones, so a sound rule asks at most
+    # MAX_MASK_EXPONENT + 1 times per insert; one that always asks for the
+    # same mask must end in an error, not loop.
+    class Unsettled(GrowableLongMap):
+        def _rebuild_mask(self, kind):
+            return self.mask
+
+    g = Unsettled(1)
+    with hang_guard(), pytest.raises(AssertionError, match="asked for 32 rebuilds"):
+        g.update(5, 5)
+    assert (g.size, g.capacity) == (0, 2)
 
 
 @pytest.mark.parametrize("kind, live", [("MISSING_ZERO", 16), ("UNDEFINED", 8)])
@@ -343,10 +373,6 @@ def test_remove_never_shrinks():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        GrowableLongMap(1, growth_threshold=0.0)
-    with pytest.raises(ValueError):
-        GrowableLongMap(1, growth_threshold=1.5)
-    with pytest.raises(ValueError):
         GrowableLongMap(2)
 
 
@@ -365,15 +391,14 @@ def test_colliding_keys_share_every_probe_path():
         assert len({to_index(k, mask) for k in keys}) == 1
 
 
-@pytest.mark.parametrize("threshold", [0.25, 0.5, 1.0])
-def test_colliding_keys_grow_the_map_a_bounded_number_of_times(threshold):
+def test_colliding_keys_grow_the_map_a_bounded_number_of_times():
     # The 2049th key sharing one probe path is out of budget at every
     # capacity, so growth cannot admit it; the map grows exactly up to a
     # fixed multiple of the capacity its live keys need, then refuses.
-    g, refused = fill_colliding(2100, threshold)
+    g, refused = fill_colliding(2100)
     assert g.array_size == 2048
     assert len(refused) == 52
-    assert g.capacity == growable.REJECTION_GROWTH_LIMIT * tombstone_free_capacity(2049, threshold)
+    assert g.capacity == growable.REJECTION_GROWTH_LIMIT * tombstone_free_capacity(2049)
     assert check(g).valid
 
 

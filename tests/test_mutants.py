@@ -2,11 +2,13 @@
 
 Each mutant from ``mutants.py`` runs on the same three fuzz traces (seed 42,
 3000 ops, capacities 2^3, 2^6 and 2^10), and the op index where ``run_trace``
-first reports a divergence is pinned. A later index, or none, means the
-checker got weaker. ``run_trace`` checks the model and the class invariant
-after every op, so a mutant that breaks either is caught at the op that
-breaks it: the counter and tombstone mutants at the first remove of a
-present key.
+first reports a divergence is pinned, with the length of the trace the
+shrinker minimizes it to. A later index, or none, means the checker got
+weaker. A mutant whose map raises or never settles is a divergence like any
+other, and a guard ends the run should a shrink hang. ``run_trace`` checks
+the model and the class invariant after every op, so a mutant that breaks
+either is caught at the op that breaks it: the counter and tombstone
+mutants at the first remove of a present key.
 
 The off-by-one probe step lays keys out by its own step; the invariant
 walks each stored key's path by the true step, independently of the map's
@@ -23,7 +25,7 @@ from mutants import BUDGET_MUTANT, MUTANTS, applied
 from longmap.conformance import FuzzConfig, TraceOp, generate_trace, run_trace
 from longmap.invariants import check
 from test_acceptance import agreement_arrays
-from test_growable import colliding_keys
+from test_growable import colliding_keys, hang_guard
 from test_seek import probe_violation
 
 EXPONENTS = (3, 6, 10)
@@ -38,11 +40,28 @@ CAUGHT_AT = {
     "tombstone-not-counted": (24, 39, 298),
     "rebuild-keeps-tombstones": (46, 49, 308),
     "rebuild-ignores-occupied-slots": (12, 29, 18),
+    "rebuild-placement-budget-1": (12, 29, 18),
+    "rebuild-mask-never-settles": (1, 5, 1),
+}
+
+# Length of the minimized trace of each catch above.
+SHRUNK_TO = {
+    "remove-writes-zero": (2, 2, 2),
+    "size-not-decremented": (2, 2, 2),
+    "sentinel-bits-swapped": (1, 1, 1),
+    "get-ignores-default": (1, 1, 1),
+    "growth-drops-a-pair": (2, 2, 2),
+    "probe-step-off-by-one": (2, 2, 2),
+    "tombstone-not-counted": (2, 2, 2),
+    "rebuild-keeps-tombstones": (10, 4, 66),
+    "rebuild-ignores-occupied-slots": (3, 3, 9),
+    "rebuild-placement-budget-1": (3, 3, 9),
+    "rebuild-mask-never-settles": (2, 2, 2),
 }
 
 
 def test_corpus_is_pinned():
-    assert [m.name for m in MUTANTS] == list(CAUGHT_AT)
+    assert [m.name for m in MUTANTS] == list(CAUGHT_AT) == list(SHRUNK_TO)
     assert all(any(i is not None for i in row) for row in CAUGHT_AT.values())
 
 
@@ -53,10 +72,11 @@ def test_mutant_caught(mutant, exp):
     kwargs = {"default_entry": mutant.default_entry}
     if mutant.map_factory is not None:
         kwargs["map_factory"] = mutant.map_factory
-    with applied(mutant):
-        res = run_trace(ops, mask, shrink=False, **kwargs)
+    with hang_guard(), applied(mutant):
+        res = run_trace(ops, mask, **kwargs)
     caught = res.divergence.op_index if res.divergence else None
     assert caught == CAUGHT_AT[mutant.name][EXPONENTS.index(exp)], res.divergence
+    assert len(res.minimized) == SHRUNK_TO[mutant.name][EXPONENTS.index(exp)]
 
 
 def test_unmutated_map_is_clean():
