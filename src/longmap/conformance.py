@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import insort
+from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional
@@ -223,109 +224,168 @@ def _sentinels_agree(m, model: ListMap) -> bool:
     return model.get(0) == zero and model.get(LONG_MIN) == low
 
 
+class _Journaled(array):
+    """An ``array('q')`` that appends to ``written``, a list it shares with
+    its twin, each index or slice written through it once the write
+    succeeds; a deletion appends None."""
+
+    def __setitem__(self, i, v):
+        array.__setitem__(self, i, v)
+        self.written.append(i)
+
+    def __delitem__(self, i):
+        array.__delitem__(self, i)
+        self.written.append(None)
+
+    def __deepcopy__(self, memo):
+        # array's own copy is a plain array, which would lose the journal.
+        twin = _Journaled("q", self)
+        twin.written = deepcopy(self.written, memo)
+        return twin
+
+
+def _unjournaled(a):
+    """``a`` as a plain ``array('q')``: a journaled array is copied."""
+    return array("q", a) if isinstance(a, _Journaled) else a
+
+
 class _VerifiedState:
     """Copy of the last map state that the full check accepted.
 
-    Holds the key and value arrays, the key array they were copied from,
-    the slot of each live key, and the mask, counters and sentinel fields.
+    Holds the key and value arrays, the journaled arrays it put on the map
+    in their place and the journal they share, the slot of each live key,
+    the mask, counters and sentinel fields, and the mask's probe offsets.
+    The journal sees every write through ``__setitem__`` and ``__delitem__``.
+    It is blind to the in-place array methods (``byteswap``, ``reverse``,
+    ``frombytes``, writes through a ``memoryview`` and the like), so the map
+    must reach its arrays through ``keys`` and ``values`` and write them by
+    index or slice only; ``tests/test_layering.py`` holds ``core`` and
+    ``growable`` to that.
     """
 
-    __slots__ = ("source", "keys", "values", "fields", "slot_of")
+    __slots__ = ("source", "keys", "values", "written", "fields", "slot_of", "offsets")
 
     def __init__(self, m):
-        self.source = m.keys
+        self.written = []
+        m.keys, m.values = _Journaled("q", m.keys), _Journaled("q", m.values)
+        m.keys.written = m.values.written = self.written
+        self.source = (m.keys, m.values)
         self.keys = array("q", m.keys)
         self.values = array("q", m.values)
         self.fields = _fields(m)
         self.slot_of = {k: i for i, k in enumerate(m.keys) if k != 0 and k != LONG_MIN}
+        self.offsets = _probe_offsets(m.mask)
 
-    def accepts(self, m, model: ListMap, k: int) -> bool:
+    def accepts(self, m, model: ListMap, k: int, want: Optional[int]) -> bool:
         """The paper's per-op lemma on one state: True iff ``m`` after an op
-        on ``k`` follows from the copy, so it matches ``model`` and passes
-        ``check_invariant``.
+        on ``k`` follows from the copy, so it matches ``model``, whose value
+        for ``k`` is ``want`` (None when absent), and passes ``check_invariant``.
 
-        The mask must be as copied. An op on 0 or LONG_MIN may change only
-        the sentinel fields, which must agree with the model, ``extra_keys``
-        in 0..3. Any other op must keep them and may touch only ``k``'s slot
-        in the copy and, on a fresh insert, the slot where ``k``'s probe path
-        now reaches ``k``: each held 0, LONG_MIN or ``k`` and now holds
-        LONG_MIN, ``k`` or its old value, and the counters move by those
-        transitions. Every other slot equals the copy. Refinement: the copy
-        had no duplicate and matched the model, which changed at ``k`` alone,
-        so ``k`` must be held exactly when the model holds it, with its value.
-        Invariant: no slot turns back into 0 or takes another key, so every
-        other key's probe path still stops at its slot; ``k`` is where the
-        walk stops or on an untouched path. A reallocated table never passes.
-        On True the copy takes the change; on False it is stale.
+        The arrays must be the journaled ones and the mask as copied. An op
+        on 0 or LONG_MIN may change only the sentinel fields, which must
+        agree with the model, ``extra_keys`` in 0..3. Any other op must keep
+        them and may touch only ``k``'s slot in the copy and, on a fresh
+        insert, the slot where ``k``'s probe path now reaches ``k``: the first
+        held ``k`` and now holds LONG_MIN or ``k``, the second held 0,
+        LONG_MIN or ``k`` and now holds ``k``, and the counters move by those
+        transitions. Every other slot the journal names equals the copy, and
+        no other slot was written. Refinement: the copy had no duplicate and
+        matched the model, which changed at ``k`` alone, so ``k`` must be held
+        exactly when the model holds it, with its value. Invariant: no slot
+        turns back into 0 or takes another key, so every other key's probe
+        path still stops at its slot; ``k`` is where the walk stops or on an
+        untouched path. A reallocated table never passes. On True the copy
+        takes the change and the journal is cleared; on False it is stale.
         """
         keys, values = m.keys, m.values
         old_keys, old_values = self.keys, self.values
-        fields, (mask, size, tombstones) = _fields(m), self.fields[:3]
-        if keys is not self.source or len(keys) != len(old_keys) or fields[0] != mask:
+        fields, copied = _fields(m), self.fields
+        n = len(old_keys)
+        if keys is not self.source[0] or values is not self.source[1] or len(keys) != n or len(values) != n:
+            return False
+        mask, size, tombstones = copied[:3]
+        if fields[0] != mask:
             return False
         if k == 0 or k == LONG_MIN:
-            self.fields = fields
-            same = keys == old_keys and values == old_values and fields[1:3] == (size, tombstones)
-            return same and 0 <= m.extra_keys <= 3 and _sentinels_agree(m, model)
-        if fields[3:] != self.fields[3:]:
-            return False
-        want = model.get(k)
-        was = self.slot_of.get(k)
-        slots = () if was is None else (was,)
-        if want is not None and (was is None or keys[was] != k):
-            new = _stop_slot(keys, k, to_index(k, mask), _probe_offsets(mask))
-            if new is not None and keys[new] == k:
-                slots += (new,)
-        holder = None
-        for i in slots:
-            old, now = old_keys[i], keys[i]
-            if old not in (0, LONG_MIN, k) or now not in (LONG_MIN, k, old):
+            if fields[1:3] != (size, tombstones) or not 0 <= m.extra_keys <= 3 or not _sentinels_agree(m, model):
                 return False
-            size += (now == k) - (old == k)
-            tombstones += (now == LONG_MIN) - (old == LONG_MIN)
-            old_keys[i], old_values[i] = now, values[i]
-            if now == k:
-                holder = i
-        self.fields = fields
-        if fields[1:3] != (size, tombstones) or keys != old_keys or values != old_values:
+            held = True
+        elif fields[3:] != copied[3:]:
             return False
-        if holder is None:
-            self.slot_of.pop(k, None)
-            return want is None
-        self.slot_of[k] = holder
-        return values[holder] == want
+        else:
+            holder = None
+            was = self.slot_of.get(k)
+            if was is not None:  # the copy holds k there
+                now = keys[was]
+                if now == k:
+                    holder = was
+                elif now == LONG_MIN:
+                    size -= 1
+                    tombstones += 1
+                else:
+                    return False
+                old_keys[was], old_values[was] = now, values[was]
+            if holder is None and want is not None:
+                new = _stop_slot(keys, k, to_index(k, mask), self.offsets)
+                if new is not None and keys[new] == k:
+                    old = old_keys[new]
+                    if old == 0:
+                        size += 1
+                    elif old == LONG_MIN:
+                        size += 1
+                        tombstones -= 1
+                    elif old != k:
+                        return False
+                    old_keys[new], old_values[new] = k, values[new]
+                    holder = new
+            if fields[1] != size or fields[2] != tombstones:
+                return False
+            if holder is None:
+                self.slot_of.pop(k, None)
+                held = want is None
+            else:
+                self.slot_of[k] = holder
+                held = values[holder] == want
+        # Every other slot written since the copy must hold what the copy holds.
+        written = self.written
+        for i in written:
+            if i is None or keys[i] != old_keys[i] or values[i] != old_values[i]:
+                return False
+        written.clear()
+        self.fields = fields
+        return held
 
 
-def _apply_checked(m, model: ListMap, op: TraceOp, default_entry) -> tuple[ListMap, Optional[str]]:
-    """Run one op on both twins; return the new model and a divergence message."""
+def _apply_checked(m, model: ListMap, op: TraceOp, default_entry) -> tuple[ListMap, Optional[str], Optional[int]]:
+    """Run one op on both twins; return the new model, a divergence message
+    and the new model's value for the op's key (None when absent)."""
     k = op.key
     # On a justified False the model is unchanged; the equivalence check
     # that follows verifies the map was left untouched too.
     if op.kind == "U":
         if not m.update(k, op.value):
-            return model, _rejection_violation(m, "update", k)
+            return model, _rejection_violation(m, "update", k), model.get(k)
         model = model.insert(k, op.value)
         if not m.contains(k):
-            return model, f"update({k}) returned True but contains is False"
-    elif op.kind == "R":
+            return model, f"update({k}) returned True but contains is False", op.value
+        return model, None, op.value
+    if op.kind == "R":
         if not m.remove(k):
-            return model, _rejection_violation(m, "remove", k)
-        model = model.remove(k)
-    elif op.kind == "G":
-        want = model.get(k)
-        if want is None:
-            want = default_entry(k)
+            return model, _rejection_violation(m, "remove", k), model.get(k)
+        return model.remove(k), None, None
+    want = model.get(k)
+    if op.kind == "G":
+        expected = default_entry(k) if want is None else want
         got = m.get(k)
-        if got != want:
-            return model, f"get({k}) = {got}, model expects {want}"
+        if got != expected:
+            return model, f"get({k}) = {got}, model expects {expected}", want
     elif op.kind == "C":
         got = m.contains(k)
-        want = model.contains(k)
-        if got != want:
-            return model, f"contains({k}) = {got}, model expects {want}"
+        if got != (want is not None):
+            return model, f"contains({k}) = {got}, model expects {want is not None}", want
     else:
-        return model, f"unknown op kind {op.kind!r}"
-    return model, None
+        return model, f"unknown op kind {op.kind!r}", want
+    return model, None, want
 
 
 def run_trace(
@@ -340,12 +400,14 @@ def run_trace(
 
     After every op the twins must agree observably, the whole array must
     match the model and the map must satisfy the class invariant. An op is
-    verified by the slots it touched against the last state the full check
+    verified by its key's slots and the slots a write journal on the map's
+    arrays names, against the last state the full check
     (``equivalence_violation``, then ``check_invariant``) accepted; the full
     check runs on the first op, after growth and whenever that does not
     settle it, and it alone words a divergence. A map op that raises is a
     divergence as well. The first divergence stops the run; with ``shrink``
-    a minimized reproducing trace is attached to the result.
+    a minimized reproducing trace is attached to the result. The final map
+    holds plain arrays again.
     """
     ops = list(ops)
     if map_factory is None:
@@ -361,12 +423,12 @@ def run_trace(
     for idx, op in enumerate(ops):
         counts[op.kind] = counts.get(op.kind, 0) + 1
         try:
-            model, msg = _apply_checked(m, model, op, default_entry)
+            model, msg, want = _apply_checked(m, model, op, default_entry)
         except Exception as exc:  # a map defect that raises is a divergence too
             msg = f"{_OP_NAMES[op.kind]}({op.key}) raised {type(exc).__name__}: {exc}"
         if msg is None:
             eq_checks += 1
-            if verified is None or not verified.accepts(m, model, op.key):
+            if verified is None or not verified.accepts(m, model, op.key, want):
                 eq = equivalence_violation(m, model)
                 if eq is not None:
                     msg = f"snapshot != model: {eq}"
@@ -377,6 +439,7 @@ def run_trace(
         if msg is not None:
             divergence = Divergence(idx, op, msg)
             break
+    m.keys, m.values = _unjournaled(m.keys), _unjournaled(m.values)  # no journal outlives the run
 
     minimized = None
     if divergence is not None and shrink:

@@ -82,12 +82,19 @@ def _probe(k: int, keys, mask: int) -> tuple[int, int, int]:
     The paper's two seek phases (up to the first tombstone, then past it)
     share this one loop and its iteration budget.
     """
+    # Below MAX_PROBES slots the first mask + 1 probes visit every slot once
+    # and later ones only revisit them, so stopping there changes no outcome,
+    # and a table that holds neither k nor 0 is a refusal decided at C speed
+    # (0 is looked for first: that scan stops at the first empty slot).
+    if mask < MAX_PROBES:
+        if 0 not in keys and k not in keys:
+            return UNDEFINED, -1, MAX_PROBES
+        limit = mask + 1
+    else:
+        limit = MAX_PROBES
     e = to_index(k, mask)
     vacant = -1
     x = 0
-    # Below MAX_PROBES slots the first mask + 1 probes visit every slot once
-    # and later ones only revisit them, so stopping there changes no outcome.
-    limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES
     while x < limit:
         q = keys[e]
         if q == k:

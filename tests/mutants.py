@@ -93,7 +93,7 @@ MUTANTS = (
 
 # Observable only where a probe path runs 2048 slots deep, which no fuzz
 # trace of the corpus above reaches; keys sharing one hash do.
-BUDGET_MUTANT = Mutant("probe-budget-2047", core, "_probe", {"else MAX_PROBES": "else MAX_PROBES - 1"})
+BUDGET_MUTANT = Mutant("probe-budget-2047", core, "_probe", {"limit = MAX_PROBES": "limit = MAX_PROBES - 1"})
 
 
 def mutated(fn, edits: dict):

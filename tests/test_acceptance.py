@@ -17,6 +17,7 @@ from longmap import (
     GrowableLongMap,
     ListMap,
     is_valid_key,
+    next_probe,
     run_fuzz,
     run_trace,
     snapshot_model,
@@ -24,7 +25,7 @@ from longmap import (
 )
 import longmap.core as core
 from longmap.bench import run_bench
-from longmap.conformance import FuzzConfig, generate_trace
+from longmap.conformance import FuzzConfig, TraceOp, generate_trace
 from longmap.invariants import check
 
 from hash_oracle import to_index_oracle
@@ -404,4 +405,93 @@ def test_criterion_11_growable_churn():
         f"{g.capacity} <= {bound}, zero refusals, {len(rebuilds)} rebuilds with equal snapshots; "
         f"2100 colliding keys: capacity {colliding.capacity} <= {colliding_bound}, "
         f"{len(refusals)} refusals within budget, in {elapsed:.1f}s"
+    )
+
+
+LARGE_EXPONENT = 16
+
+
+def key_homed_at(slot: int, mask: int) -> int:
+    """A positive key below 2**32 whose ``to_index`` at ``mask`` is ``slot``:
+    the hash's three steps run backwards from ``slot | (mask + 1)``, which is
+    never 0, so neither is the key."""
+    y = slot | (mask + 1)
+    x = y ^ (y >> 13) ^ (y >> 26)
+    h = (x * pow(0x85EBCA6B, -1, 1 << 32)) & 0xFFFFFFFF
+    return h ^ (h >> 16)
+
+
+def growth_past_2_16_trace(seed: int) -> list:
+    """Ops that take a growable map from mask 1 to 2^17 slots with no
+    tombstone on the way, then churn it.
+
+    2^14 + 1 fresh keys grow it to 2^16 slots. Then one key homed at each
+    slot of a further key's probe budget fills that budget, so the key's
+    insert is a probe-budget miss, which doubles a map whose live keys fill
+    more than a quarter of it. Reads of stored and absent keys, removes of
+    absent keys and sentinel ops are mixed in throughout; removes of stored
+    keys only once the map is at 2^17.
+    """
+    rng = random.Random(seed)
+    mask = (1 << LARGE_EXPONENT) - 1
+    last = rng.getrandbits(64) - (1 << 63)
+    e = to_index(last, mask)
+    budget = {e}
+    for x in range(1, MAX_PROBES):
+        e = next_probe(e, x, mask)
+        budget.add(e)
+    fresh = [rng.getrandbits(64) - (1 << 63) for _ in range((mask + 1) // 4 + 1)]
+    fresh += [key_homed_at(slot, mask) for slot in sorted(budget)]
+    assert all(to_index(k, mask) in budget for k in fresh[-len(budget):])
+    stored = []
+    ops = []
+
+    def read_or_miss():
+        r = rng.random()
+        if r < 0.15:
+            ops.append(TraceOp(rng.choice("GC"), rng.choice(stored)))
+        elif r < 0.2:
+            ops.append(TraceOp(rng.choice("GCR"), rng.getrandbits(63) + 1))
+        elif r < 0.22:
+            ops.append(TraceOp("U", rng.choice((0, LONG_MIN)), rng.getrandbits(16)))
+        elif r < 0.23:
+            ops.append(TraceOp("R", rng.choice((0, LONG_MIN))))
+
+    for k in fresh + [last]:
+        ops.append(TraceOp("U", k, rng.getrandbits(16)))
+        stored.append(k)
+        read_or_miss()
+    for _ in range(2_000):
+        r = rng.random()
+        if r < 0.4:
+            ops.append(TraceOp("R", rng.choice(stored)))
+        elif r < 0.7:
+            ops.append(TraceOp("U", rng.choice(stored), rng.getrandbits(16)))
+        else:
+            read_or_miss()
+    return ops
+
+
+def test_criterion_12_large_capacity_conformance():
+    # Past 2^11 slots the probe budget, not the table, bounds every walk, and
+    # the checker's delta step costs the slots an op wrote, not the table.
+    started = time.perf_counter()
+    mask, fixed_ops = generate_trace(
+        FuzzConfig(seed=12_000 + LARGE_EXPONENT, op_count=10_000, mask_exponent=LARGE_EXPONENT, key_pool_size=4096)
+    )
+    fixed = run_trace(fixed_ops, mask, shrink=False)
+    assert fixed.ok, fixed.divergence
+    assert fixed.equivalence_checks == len(fixed_ops)
+
+    growable_ops = growth_past_2_16_trace(12_017)
+    grown = run_trace(growable_ops, 1, map_factory=GrowableLongMap, shrink=False)
+    assert grown.ok, grown.divergence
+    assert grown.equivalence_checks == len(growable_ops)
+    assert grown.final_map.capacity == 1 << (LARGE_EXPONENT + 1)
+    assert grown.final_map.growth_count == LARGE_EXPONENT
+    elapsed = time.perf_counter() - started
+    _announce(
+        f"criterion 12 PASS: {len(fixed_ops)} checked ops on a fixed map at 2^{LARGE_EXPONENT} and "
+        f"{len(growable_ops)} on a growable map grown from mask 1 to {grown.final_map.capacity} slots "
+        f"({grown.final_map.growth_count} growth events), zero divergences in {elapsed:.1f}s"
     )

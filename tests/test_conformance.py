@@ -2,6 +2,7 @@
 
 import copy
 import random
+from array import array
 
 import pytest
 
@@ -277,7 +278,7 @@ def test_divergence_detected_and_shrunk():
 
 def declined(monkeypatch):
     """Turn the delta step off: every op goes to the full check."""
-    monkeypatch.setattr(conformance._VerifiedState, "accepts", lambda self, inner, model, k: False)
+    monkeypatch.setattr(conformance._VerifiedState, "accepts", lambda self, inner, model, k, want: False)
 
 
 def count_full_checks(monkeypatch) -> list:
@@ -430,6 +431,63 @@ def test_corruption_caught_at_its_op_by_the_full_check(factory, message, monkeyp
     assert run_trace(CORRUPTION_TRACE, 15, map_factory=factory, shrink=False).divergence == res.divergence
 
 
+class RewritesOtherValueByNegativeIndex(CorruptsAfterTrigger):
+    def corrupt(self):
+        self.values[self.other_key_slot() - len(self.values)] += 1
+
+
+class RewritesOtherValueBySlice(CorruptsAfterTrigger):
+    def corrupt(self):
+        i = self.other_key_slot()
+        self.values[i : i + 1] = array("q", [self.values[i] + 1])
+
+
+class RewritesOtherValueByDel(CorruptsAfterTrigger):
+    """Deletes another key's value and inserts it back changed: the length
+    is kept and the insert goes past the journal, so only the deletion's
+    record shows the write."""
+
+    def corrupt(self):
+        i = self.other_key_slot()
+        v = self.values[i]
+        del self.values[i]
+        self.values.insert(i, v + 1)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [RewritesOtherValue, RewritesOtherValueByNegativeIndex, RewritesOtherValueBySlice, RewritesOtherValueByDel],
+    ids=lambda f: f.__name__,
+)
+def test_stray_write_caught_at_its_op_by_the_journal(factory, monkeypatch):
+    # Each map writes once to a slot the op did not touch; the journal names
+    # the slot, the delta step declines and the full check catches it.
+    calls = count_full_checks(monkeypatch)
+    res = run_trace(CORRUPTION_TRACE, 15, map_factory=factory, shrink=False)
+    assert res.divergence.op_index == CORRUPTION_TRACE.index(factory.trigger)
+    assert res.divergence.message.startswith("snapshot != model: value mismatch for key 5 at index 0")
+    assert len(calls) == 2  # the first op, then the op of the stray write
+    declined(monkeypatch)
+    assert run_trace(CORRUPTION_TRACE, 15, map_factory=factory, shrink=False).divergence == res.divergence
+
+
+class GrowableRewritesOtherValue(RewritesOtherValue, GrowableLongMap):
+    pass
+
+
+def test_no_journal_outlives_a_run():
+    mask, ops = generate_trace(FuzzConfig(seed=4, op_count=2048, mask_exponent=10))
+    runs = [
+        run_trace(ops, mask, shrink=False),
+        run_trace(ops, mask, map_factory=lambda mask, entry: GrowableLongMap(1, entry), shrink=False),
+        run_trace(CORRUPTION_TRACE, 15, map_factory=RewritesOtherValue, shrink=False),
+        run_trace(CORRUPTION_TRACE, 1, map_factory=GrowableRewritesOtherValue, shrink=False),
+    ]
+    assert [r.ok for r in runs] == [True, True, False, False]
+    for r in runs:
+        assert type(r.final_map.keys) is array and type(r.final_map.values) is array
+
+
 def test_equivalent_relayout_falls_back_and_passes(monkeypatch):
     calls = count_full_checks(monkeypatch)
     res = run_trace(CORRUPTION_TRACE, 15, map_factory=MovesOtherKey, shrink=False)
@@ -515,11 +573,15 @@ def test_delta_step_accepts_only_equivalent_states():
             op = TraceOp(kind, rng.choice(pool), rng.choice(SMALL_VALUES) if kind == "U" else 0)
             forked = rng.random() < 0.5
             t, state = copy.deepcopy((m, verified)) if forked else (m, verified)
-            after, msg = conformance._apply_checked(t, model, op, zero_entry)
-            assert msg is None
+            if state is not None:  # the copy and its journal survive the fork
+                assert type(t.keys) is type(t.values) is conformance._Journaled
+                assert t.keys.written is t.values.written is state.written
+            after, msg, want = conformance._apply_checked(t, model, op, zero_entry)
+            assert msg is None and want == after.get(op.key)
             if forked:
                 after = corrupted(rng, t, after, op.key, pool)
-            accepted = state is not None and state.accepts(t, after, op.key)
+                want = after.get(op.key)
+            accepted = state is not None and state.accepts(t, after, op.key, want)
             if accepted and (equivalence_violation(t, after) is not None or not check(t).valid):
                 unsound.append((mask, op, list(t.keys), list(t.values), after.items()))
             if forked:
@@ -569,7 +631,7 @@ def test_delta_step_walks_no_path_for_reads_overwrites_and_removes_of_absent_key
     absent = [rng.getrandbits(63) + 1 for _ in range(16)]
     m, model = FixedLongMap(63), ListMap.empty()
     for k in stored + [0]:
-        model, msg = conformance._apply_checked(m, model, TraceOp("U", k, k & 0xFF), zero_entry)
+        model, msg, _ = conformance._apply_checked(m, model, TraceOp("U", k, k & 0xFF), zero_entry)
         assert msg is None
     verified = conformance._VerifiedState(m)
     tail = [TraceOp(kind, k) for k in stored + [0, LONG_MIN] for kind in "GC"]
@@ -577,8 +639,8 @@ def test_delta_step_walks_no_path_for_reads_overwrites_and_removes_of_absent_key
     tail += [TraceOp(kind, k) for k in absent for kind in "GC"]
     walked = count_walks(monkeypatch)
     for op in tail:
-        model, msg = conformance._apply_checked(m, model, op, zero_entry)
-        assert msg is None and verified.accepts(m, model, op.key), op
+        model, msg, want = conformance._apply_checked(m, model, op, zero_entry)
+        assert msg is None and verified.accepts(m, model, op.key, want), op
     assert walked == []
 
 

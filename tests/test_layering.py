@@ -5,7 +5,9 @@ growable map (a ``FixedLongMap`` that reallocates its own arrays) and the
 invariant build on the map only. None of them imports the test harness
 (``conformance``) or anything above it. Nor does the package keep a public
 name that neither it nor its exports use, nor a clock: timing belongs to
-``benchmarks/``, so every command's output is a function of its input.
+``benchmarks/``, so every command's output is a function of its input. The
+maps write their arrays by index or slice only, where the checker's write
+journal sees each write.
 """
 
 import ast
@@ -143,3 +145,71 @@ def test_no_module_imports_time():
                 continue
             clocked += [f"{path.stem}: {n}" for n in names if n.split(".")[0] == "time"]
     assert clocked == []
+
+
+# Array methods that change an array past its __setitem__ and __delitem__,
+# where the checker's write journal does not see the change.
+UNJOURNALED = {
+    "append",
+    "extend",
+    "insert",
+    "pop",
+    "remove",
+    "byteswap",
+    "reverse",
+    "frombytes",
+    "fromlist",
+    "fromfile",
+    "fromunicode",
+}
+
+
+def is_array_name(node) -> bool:
+    """``node`` names a map array: ``keys`` or ``values``, bare or as an attribute."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("keys", "values")
+    return isinstance(node, ast.Name) and node.id in ("keys", "values")
+
+
+def unjournaled_writes(source: str) -> list:
+    """``line: code`` of each change to ``keys`` or ``values`` that bypasses
+    ``__setitem__``, by line: a call of an UNJOURNALED method on one, an
+    augmented assignment to one, and any ``memoryview``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "memoryview":
+                found.append(node)
+            elif isinstance(f, ast.Attribute) and f.attr in UNJOURNALED and is_array_name(f.value):
+                found.append(node)
+        elif isinstance(node, ast.AugAssign) and is_array_name(node.target):
+            found.append(node)
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_unjournaled_writes_are_seen():
+    src = (
+        "def f(self, keys, pairs, new):\n"
+        "    self.keys.append(1)\n"
+        "    keys.byteswap()\n"
+        "    new.values.frombytes(b'')\n"
+        "    self.values += new.values\n"
+        "    memoryview(keys)[0] = 1\n"
+        "    pairs.pop(0, None)\n"
+        "    keys[0] = 1\n"
+        "    del self.values[1:2]\n"
+        "    self.array_size += 1\n"
+    )
+    assert unjournaled_writes(src) == [
+        "2: self.keys.append(1)",
+        "3: keys.byteswap()",
+        "4: new.values.frombytes(b'')",
+        "5: self.values += new.values",
+        "6: memoryview(keys)",
+    ]
+
+
+@pytest.mark.parametrize("module", ["core", "growable"])
+def test_maps_write_arrays_only_through_setitem(module):
+    assert unjournaled_writes((PACKAGE / f"{module}.py").read_text()) == []

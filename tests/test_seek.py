@@ -188,6 +188,7 @@ def test_probe_matches_two_phase_reference():
     rng = random.Random(2107)
     kinds = dict.fromkeys((FOUND, MISSING_ZERO, MISSING_VACANT, UNDEFINED), 0)
     seeks = 0
+    zero_free = 0  # arrays with no 0 slot, where every absent key is refused
     for _ in range(10_000):
         mask = (1 << rng.randrange(7)) - 1
         # pool[:-1] may fill slots; pool[-1] never does, so it is a foreign key.
@@ -202,6 +203,7 @@ def test_probe_matches_two_phase_reference():
                 keys.append(LONG_MIN)
             else:
                 keys.append(pool[rng.randrange(mask + 1)])
+        zero_free += 0 not in keys
         present = [q for q in keys if q != 0 and q != LONG_MIN]
         probes = [0, LONG_MIN, pool[-1]]
         if present:
@@ -213,3 +215,4 @@ def test_probe_matches_two_phase_reference():
             seeks += 1
     assert seeks >= 30_000
     assert all(n >= 500 for n in kinds.values()), kinds
+    assert zero_free >= 200
