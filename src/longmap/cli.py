@@ -121,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a trace file with full contract checking")
     p.add_argument("trace")
+    p.add_argument("--growable", action="store_true", help="replay on a growable map, as fuzz --growable runs")
 
     p = sub.add_parser("bench", help="occupancy-factor benchmark")
     p.add_argument("--mask-exp", type=_mask_exp, required=True)
@@ -191,7 +192,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_replay(args) -> int:
     mask, ops = parse_trace(read_ascii(args.trace))
-    result = run_trace(ops, mask, shrink=False)
+    result = run_trace(ops, mask, shrink=False, map_factory=_growable_factory if args.growable else None)
     print(f"ops {result.ops_run}")
     print(f"final-size {result.final_size}")
     if result.divergence is None:

@@ -3,15 +3,16 @@
 Every insert runs ``FixedLongMap.update``, which asks ``_rebuild_mask``.
 Live keys and tombstones both use up slots. An insert into a 0 slot that
 would take them past half the capacity, Scala's fixed threshold, rebuilds
-the map. As Scala's ``repack`` does, it puts each live pair, in ascending
-key order, into the first 0 slot of its probe path in fresh arrays: at
-double the capacity when the live keys alone would pass half or tombstones
-make up at most a fifth of the table, else at the same capacity, which only
-clears the tombstones. An insert that reuses a tombstone never rebuilds.
-An insert that its probe budget cannot place repacks in place when there
-are tombstones and otherwise doubles only within ``REJECTION_GROWTH_LIMIT``.
-Sentinel keys 0 and LONG_MIN live outside the array and never trigger a
-rebuild. There is no shrinking.
+the map. As Scala's ``repack`` does, it walks the old arrays by index and
+puts each live pair, in that slot order, into the first 0 slot of its probe
+path in fresh arrays: at double the capacity when the live keys alone would
+pass half or tombstones make up at most a fifth of the table, else at the
+same capacity, which only clears the tombstones. The new layout depends on
+the old one and, for a given trace, is deterministic. An insert that reuses
+a tombstone never rebuilds. An insert that its probe budget cannot place
+repacks in place when there are tombstones and otherwise doubles only
+within ``REJECTION_GROWTH_LIMIT``. Sentinel keys 0 and LONG_MIN live
+outside the array and never trigger a rebuild. There is no shrinking.
 """
 
 from __future__ import annotations
@@ -75,16 +76,14 @@ class GrowableLongMap(FixedLongMap):
         return 2 * self.mask + 1 if can_grow else None
 
     def _rebuild(self, mask: int) -> None:
-        """Move the live pairs into fresh arrays of ``mask + 1`` slots, each
-        key to the first 0 slot of its probe path, within ``_probe``'s budget."""
-        pairs = dict(zip(self.keys, self.values))
-        pairs.pop(0, None)
-        pairs.pop(LONG_MIN, None)
+        """Move the live pairs, in old slot order, into fresh arrays of ``mask + 1``
+        slots, each key to the first 0 slot of its probe path, within ``_probe``'s budget."""
         new = FixedLongMap(mask)
         keys, values = new.keys, new.values
         limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES
-        # Ascending key order fixes the new layout independently of the old.
-        for k in sorted(pairs):
+        for k, v in zip(self.keys, self.values):
+            if k == 0 or k == LONG_MIN:
+                continue
             e = to_index(k, mask)
             x = 0
             while keys[e]:
@@ -93,7 +92,7 @@ class GrowableLongMap(FixedLongMap):
                     raise AssertionError(f"reinsert of {k} failed while rebuilding")
                 e = next_probe(e, x, mask)
             keys[e] = k
-            values[e] = pairs[k]
+            values[e] = v
         if mask != self.mask:
             self.growth_count += 1
         self.mask, self.keys, self.values = mask, keys, values

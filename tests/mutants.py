@@ -56,7 +56,11 @@ MUTANTS = (
         "growth-drops-a-pair",
         growable.GrowableLongMap,
         "_rebuild",
-        {"sorted(pairs)": "sorted(pairs)[1:]"},
+        # Skips the first live pair the slot-order walk reaches.
+        {
+            "new = FixedLongMap(mask)": "dropped = False; new = FixedLongMap(mask)",
+            "x = 0": "x = 0\n        if not dropped:\n            dropped = True\n            continue",
+        },
         map_factory=_growable_from_one,
     ),
     Mutant("probe-step-off-by-one", core, "_probe", {"* x - 3)": "* x - 2)"}),

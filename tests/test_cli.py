@@ -12,6 +12,7 @@ from longmap import FixedLongMap, is_valid_key, to_index
 import longmap.cli as cli
 from longmap.cli import dump_state, main, parse_state
 from longmap.conformance import ParseError, read_ascii
+from mutants import MUTANTS, applied
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,29 @@ def test_fuzz_growable_mode(capsys):
     )
     assert code == 0
     assert "mode growable" in out
+
+
+def test_replay_growable_reproduces_a_growable_divergence(tmp_path, capsys):
+    # A map that loses a pair when it grows: fuzz --growable catches it, and
+    # only replay --growable reproduces the catch from its traces; on a fixed
+    # map at the trace's mask they run clean.
+    trace, minimized = tmp_path / "run.trace", tmp_path / "min.trace"
+    mutant = next(m for m in MUTANTS if m.name == "growth-drops-a-pair")
+    with applied(mutant):
+        code, out, _ = run_cli(
+            capsys,
+            "fuzz", "--seed", "1", "--ops", "300", "--mask-exp", "3", "--growable",
+            "--emit-trace", str(trace), "--trace-out", str(minimized),
+        )
+        assert code == 1
+        caught = out.split("result DIVERGENCE at op ")[1].split(":")[0]
+        for path in (trace, minimized):
+            code, out, _ = run_cli(capsys, "replay", "--growable", str(path))
+            assert code == 1
+            if path == trace:
+                assert f"result VIOLATION at op {caught}:" in out
+            code, out, _ = run_cli(capsys, "replay", str(path))
+            assert (code, out.splitlines()[-1]) == (0, "result OK")
 
 
 def test_replay_hand_written_trace(tmp_path, capsys):

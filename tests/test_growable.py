@@ -5,10 +5,12 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import longmap.core as core
 import longmap.growable as growable
 from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model, to_index
+from longmap.core import UNDEFINED
 from longmap.conformance import FuzzConfig, _rejection_violation, generate_trace
 from longmap.invariants import check
 
@@ -156,17 +158,30 @@ def test_growth_preserves_model_and_seekability():
     assert check(g).valid
 
 
-def test_growth_lays_out_pairs_in_ascending_key_order():
-    # Growth reinserts the old map's pairs in ascending key order, so the new
-    # arrays match a fresh map filled with the sorted snapshot, whatever
-    # tombstones and sentinels the old map held.
+def slot_order_fill(old, mask):
+    """A fresh map of ``mask + 1`` slots that received ``old``'s live array
+    pairs by ``update`` in ``old``'s slot order, then its sentinel pairs."""
+    fresh = FixedLongMap(mask, old.default_entry)
+    for k, v in zip(old.keys, old.values):
+        if k != 0 and k != LONG_MIN:
+            assert fresh.update(k, v)
+    if old.extra_keys & 1:
+        fresh.update(0, old.zero_value)
+    if old.extra_keys & 2:
+        fresh.update(LONG_MIN, old.min_value)
+    return fresh
+
+
+def test_growth_lays_out_pairs_in_old_slot_order():
+    # Growth reinserts the old map's pairs in the old arrays' slot order, so
+    # the new arrays match a fresh map filled in that order, whatever
+    # tombstones and sentinels the old map held. Some of these layouts
+    # differ from a fill in ascending key order, so the two rules part.
     rng = random.Random(29)
     grown = []
 
     def on_grow(old, new):
-        fresh = FixedLongMap(new.mask, old.default_entry)
-        for k, v in snapshot_model(old).items():
-            assert fresh.update(k, v)
+        fresh = slot_order_fill(old, new.mask)
         assert new.keys == fresh.keys
         assert new.values == fresh.values
         assert (new.extra_keys, new.zero_value, new.min_value) == (
@@ -174,7 +189,10 @@ def test_growth_lays_out_pairs_in_ascending_key_order():
             fresh.zero_value,
             fresh.min_value,
         )
-        grown.append((LONG_MIN in old.keys, old.extra_keys))
+        by_key = FixedLongMap(new.mask)
+        for k, v in snapshot_model(old).items():
+            by_key.update(k, v)
+        grown.append((LONG_MIN in old.keys, old.extra_keys, by_key.keys != new.keys))
 
     g = GrowableLongMap(1)
     pool = [rng.getrandbits(64) - (1 << 63) for _ in range(400)] + [0, LONG_MIN]
@@ -186,8 +204,9 @@ def test_growth_lays_out_pairs_in_ascending_key_order():
             else:
                 g.remove(k)
     assert len(grown) == g.growth_count >= 8
-    assert any(tombstones for tombstones, _ in grown)
-    assert any(extra == 3 for _, extra in grown)
+    assert any(tombstones for tombstones, _, _ in grown)
+    assert any(extra == 3 for _, extra, _ in grown)
+    assert any(differs for _, _, differs in grown)
 
 
 def random_keys(seed, n):
@@ -226,14 +245,12 @@ def sentinel_regime():
 
 
 @pytest.mark.parametrize("regime", [repack_regime, colliding_regime, sentinel_regime])
-def test_rebuild_matches_a_fresh_fill_in_ascending_key_order(regime):
-    # Whatever the old layout, a rebuild lays the live pairs out as a fresh
-    # map does that receives them by update in ascending key order.
+def test_rebuild_matches_a_fresh_fill_in_old_slot_order(regime):
+    # A rebuild lays the live pairs out as a fresh map does that receives
+    # them by update in the old arrays' slot order.
     g, mask = regime()
     model = snapshot_model(g)
-    fresh = FixedLongMap(mask)
-    for k, v in model.items():
-        assert fresh.update(k, v)
+    fresh = slot_order_fill(g, mask)
     grown = g.growth_count + (mask != g.mask)
     g._rebuild(mask)
     assert g.keys == fresh.keys
@@ -242,6 +259,101 @@ def test_rebuild_matches_a_fresh_fill_in_ascending_key_order(regime):
     assert (g.mask, g.tombstones, g.growth_count) == (mask, 0, grown)
     assert snapshot_model(g) == model
     assert check(g).valid
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="rebuild cannot re-place keys that share one hash")
+def test_rebuild_places_colliding_keys_among_others():
+    # 2048 keys on one probe path fill its whole budget. When the map grows
+    # from 8192 to 16384 slots, the pairs placed before the last colliding
+    # key take slots on that path, so it finds no 0 slot within its budget
+    # and the rebuild raises out of a plain update.
+    g = GrowableLongMap(1)
+    for k in colliding_keys(2048):
+        assert g.update(k, k)
+    assert g.capacity == 4096
+    for k in random_keys(3, 2049):
+        assert g.update(k, k)
+    assert g.capacity == 16384
+    assert check(g).valid
+
+
+MISS = "miss"  # a history step: the rebuild a probe-budget miss asks for
+STEPS = ["U"] * 16 + ["R"] * 24 + [MISS]  # removes outweigh updates, so tombstones pile up
+
+
+def rebuild_history(exp, pool, history):
+    """Run ``history`` on a growable map of ``2**exp`` slots, checking every
+    rebuild against a slot-order fill, and return the kinds of rebuild seen:
+    ``"repack"`` at the same mask, ``"double"`` from updates, and ``MISS``.
+
+    Each step ``n`` of the history is ``STEPS[n % len(STEPS)]`` of the key
+    at ``n // len(STEPS)`` in ``pool`` (wrapped round), with value ``n``.
+    Below ``MAX_PROBES`` slots a probe walk covers the table, so no update
+    misses its budget; a ``MISS`` step makes the rebuild that the rule asks
+    for on a miss, in place with tombstones and else doubling at any load.
+    """
+    calls = []
+    seen = []
+
+    def counted(k, mask):
+        calls.append(k)
+        return to_index(k, mask)
+
+    def on_grow(old, new):
+        fresh = slot_order_fill(old, new.mask)
+        assert (new.keys, new.values) == (fresh.keys, fresh.values)
+        assert (new.extra_keys, new.zero_value, new.min_value) == (old.extra_keys, old.zero_value, old.min_value)
+        assert snapshot_model(new) == snapshot_model(old)
+        assert new.tombstones == 0
+        assert check(new).valid
+        assert len(calls) == old.array_size
+        calls.clear()
+        seen.append("repack" if new.mask == old.mask else "double")
+
+    g = GrowableLongMap((1 << exp) - 1)
+    with growth_watched(on_grow):
+        growable.to_index = counted
+        try:
+            for n in history:
+                i, step = divmod(n, len(STEPS))
+                k = pool[i % len(pool)]
+                if STEPS[step] == "U":
+                    g.update(k, n)
+                elif STEPS[step] == "R":
+                    g.remove(k)
+                elif (mask := g._rebuild_mask(UNDEFINED)) is not None:
+                    g._rebuild(mask)
+                    seen[-1] = MISS
+        finally:
+            growable.to_index = to_index
+    assert check(g).valid
+    return seen
+
+
+rebuild_pools = st.builds(
+    lambda keys, colliding: keys + colliding_keys(colliding) + [0, LONG_MIN],
+    st.lists(st.integers(LONG_MIN, (1 << 63) - 1), min_size=8, max_size=24),
+    st.integers(0, 4),
+)
+rebuild_steps = st.lists(st.sampled_from(range(32 * len(STEPS))), min_size=100, max_size=200)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), rebuild_pools, rebuild_steps)
+def test_rebuild_is_a_fresh_fill_in_old_slot_order(exp, pool, history):
+    for kind in set(rebuild_history(exp, pool, history)):
+        event(kind)
+
+
+def test_rebuild_histories_reach_every_kind_of_rebuild():
+    # Histories drawn as the property test draws them reach all three kinds.
+    seen = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        pool = random_keys(seed, 16) + colliding_keys(3) + [0, LONG_MIN]
+        steps = [rng.randrange(32 * len(STEPS)) for _ in range(150)]
+        seen.update(rebuild_history(rng.randrange(1, 7), pool, steps))
+    assert seen == {"repack", "double", MISS}
 
 
 def test_occupancy_bounded_after_updates():
