@@ -27,6 +27,7 @@ from .conformance import (
     parse_trace,
     read_ascii,
     run_trace,
+    split_lines,
 )
 from .core import LONG_MAX, LONG_MIN, MAX_MASK, MAX_MASK_EXPONENT, FixedLongMap
 from .growable import GrowableLongMap
@@ -46,7 +47,7 @@ def dump_state(m: FixedLongMap) -> str:
 def parse_state(text: str) -> FixedLongMap:
     """Parse a serialized state; the result may violate the invariant (that
     is for the checker to report), but must at least be buildable."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if len(lines) < 2:
         raise ParseError(1, "expected 'mask' and 'extra' header lines")
     head = lines[0].split()

@@ -1,19 +1,18 @@
 """Differential checking of FixedLongMap against the ListMap model.
 
-Provides model extraction from concrete map state, the array/model
-equivalence check, and a deterministic randomized trace runner that
-executes every operation on both the array map and the model twin, asserting
-the public-contract relations and the equivalence after each step. A
-divergence is reported with its op index and a minimized reproducing
-trace. Also the trace format, the number grammar all input shares, and
-``ParseError``.
+Provides the abstraction function to the model (``snapshot_model``), the
+equivalence check comparing its snapshot with the model, and a
+deterministic randomized trace runner that executes every operation on
+both the array map and the model twin, asserting the public-contract
+relations and the equivalence after each step. A divergence is reported
+with its op index and a minimized reproducing trace. Also the trace
+format, the number grammar all input shares, and ``ParseError``.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import insort
 from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -30,7 +29,7 @@ from .core import (
     valid_mask,
     zero_entry,
 )
-from .invariants import _probe_offsets, _stop_slot, check as check_invariant
+from .invariants import _probe_offsets, _stop_slot, check as check_invariant, count_valid_keys, first_slots
 from .listmap import ListMap
 
 OP_KINDS = ("U", "R", "G", "C")
@@ -94,53 +93,38 @@ class TraceResult:
 
 
 def snapshot_model(m) -> ListMap:
-    """Extract the ListMap mirroring the concrete state of ``m``.
+    """The abstraction function: the ListMap that the state of ``m`` stands for.
 
-    Folds every valid-key slot into the model (first occurrence wins, which
-    matches folding recursively from the array end), then adds the sentinel
-    pairs recorded in extra_keys.
+    Each valid key maps to the value in the first slot that holds it
+    (``first_slots``, which matches folding recursively from the array end),
+    and the sentinel pairs recorded in extra_keys are added.
     """
-    pairs: dict[int, int] = {}
-    values = m.values
-    for i, k in enumerate(m.keys):
-        if k != 0 and k != LONG_MIN and k not in pairs:
-            pairs[k] = values[i]
+    pairs = [(k, m.values[i]) for k, i in first_slots(m.keys).items()]
     if m.extra_keys & 1:
-        pairs[0] = m.zero_value
+        pairs.append((0, m.zero_value))
     if m.extra_keys & 2:
-        pairs[LONG_MIN] = m.min_value
-    return ListMap._from_sorted(tuple(sorted(pairs.items())))
+        pairs.append((LONG_MIN, m.min_value))
+    return ListMap._from_sorted(tuple(sorted(pairs)))
 
 
-def live_pairs(m) -> list:
-    """Ascending ``(key, value)`` pairs of the slots holding neither 0 nor
-    LONG_MIN, one per slot: a key stored twice appears twice."""
-    return sorted((k, v) for k, v in zip(m.keys, m.values) if k != 0 and k != LONG_MIN)
-
-
-def equivalence_violation(m, model: Optional[ListMap] = None) -> Optional[str]:
+def equivalence_violation(m, model: ListMap) -> Optional[str]:
     """First violated array/model equivalence condition, or None.
 
-    The map's live pairs and sentinel pairs must equal the entries of
-    ``model`` (by default the snapshot). That one comparison implies every
-    equivalence condition and rules out a duplicated key; only on a
-    mismatch is the failed condition worked out and named.
+    Refinement through the abstraction function: ``snapshot_model(m)`` must
+    equal ``model`` and fold no slot away, so the valid-key slots are as
+    many as its non-sentinel entries. That rules out a duplicated key and
+    implies every equivalence condition; only on a mismatch is the failed
+    condition worked out and named.
     """
-    if model is None:
-        model = snapshot_model(m)
-    pairs = live_pairs(m)
-    if m.extra_keys & 1:
-        insort(pairs, (0, m.zero_value))
-    if m.extra_keys & 2:
-        pairs.insert(0, (LONG_MIN, m.min_value))
-    if tuple(pairs) == model.items():
+    snapshot = snapshot_model(m)
+    live = len(snapshot) - snapshot.contains(0) - snapshot.contains(LONG_MIN)
+    if snapshot == model and count_valid_keys(m.keys) == live:
         return None
 
-    stored = set(m.keys)
+    first = first_slots(m.keys)
     for k, _ in model.items():
-        if is_valid_key(k) and k not in stored:
+        if is_valid_key(k) and k not in first:
             return f"model key {k} does not occur in the key array"
-    first: dict[int, int] = {}
     for i, k in enumerate(m.keys):
         if not is_valid_key(k):
             continue
@@ -151,7 +135,7 @@ def equivalence_violation(m, model: Optional[ListMap] = None) -> Optional[str]:
                 f"value mismatch for key {k} at index {i}: "
                 f"model {model.apply(k)} != array {m.values[i]}"
             )
-        if first.setdefault(k, i) != i:
+        if first[k] != i:
             return f"key {k} duplicated at indexes {first[k]} and {i}"
     return (
         f"sentinel fields extra_keys {m.extra_keys}, zero_value {m.zero_value}, "
@@ -273,7 +257,7 @@ class _VerifiedState:
         self.keys = array("q", m.keys)
         self.values = array("q", m.values)
         self.fields = _fields(m)
-        self.slot_of = {k: i for i, k in enumerate(m.keys) if k != 0 and k != LONG_MIN}
+        self.slot_of = first_slots(m.keys)
         self.offsets = _probe_offsets(m.mask)
 
     def accepts(self, m, model: ListMap, k: int, want: Optional[int]) -> bool:
@@ -528,9 +512,17 @@ def parse_int(text: str, line_number: int, what: str, lo: int = LONG_MIN, hi: in
     return v
 
 
+def split_lines(text: str) -> list:
+    """The lines of ``text``, ended by ``\\n`` alone, as ``read_ascii`` counts them."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def parse_trace(text: str) -> tuple[int, list]:
     """Parse trace text into (mask, ops); raises ParseError."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines:
         raise ParseError(1, "empty trace")
     header = lines[0].split()

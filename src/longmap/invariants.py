@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import LONG_MIN, MAX_MASK_EXPONENT, MAX_PROBES, is_valid_key, next_probe, to_index, valid_mask
+from .core import LONG_MIN, MAX_MASK_EXPONENT, MAX_PROBES, next_probe, to_index, valid_mask
 
 
 @dataclass
@@ -39,6 +39,16 @@ class InvariantReport:
 def count_valid_keys(a) -> int:
     """Number of valid keys (neither 0 nor LONG_MIN) in ``a``."""
     return len(a) - a.count(0) - a.count(LONG_MIN)
+
+
+def first_slots(keys) -> dict[int, int]:
+    """The live-key index of a key array: each valid key (neither 0 nor
+    LONG_MIN) mapped to the first slot that holds it. Built from the end at
+    C speed, so the first slot's entry overwrites the later ones."""
+    index = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    index.pop(0, None)
+    index.pop(LONG_MIN, None)
+    return index
 
 
 @lru_cache(maxsize=None)
@@ -79,15 +89,10 @@ def _seekability_violation(keys, mask: int) -> Optional[int]:
     return None
 
 
-def _duplicate_witness(a) -> Optional[tuple[int, int, int]]:
-    first: dict[int, int] = {}
-    for i in range(len(a)):
-        k = a[i]
-        if is_valid_key(k):
-            if k in first:
-                return k, first[k], i
-            first[k] = i
-    return None
+def _duplicate_witness(keys) -> Optional[tuple[int, int, int]]:
+    """``(key, earlier slot, slot)`` for the first slot whose key an earlier slot holds, or None."""
+    first = first_slots(keys)
+    return next(((k, first[k], i) for i, k in enumerate(keys) if first.get(k, i) != i), None)
 
 
 def check(m) -> InvariantReport:
@@ -108,8 +113,8 @@ def check(m) -> InvariantReport:
         problems.append(f"extra_keys {m.extra_keys} outside 0..3")
     simple = not problems
 
+    counted = count_valid_keys(m.keys)
     tombstones = m.keys.count(LONG_MIN)
-    counted = len(m.keys) - m.keys.count(0) - tombstones
     count_ok = counted == m.array_size and tombstones == m.tombstones
     if counted != m.array_size:
         problems.append(f"counted {counted} valid keys but array_size is {m.array_size}")

@@ -285,6 +285,22 @@ def test_parse_state_rejects_non_decimal_numbers(slot):
     assert exc.value.line_number == 3
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"])
+def test_parse_state_lines_end_at_newline_only(sep):
+    # str.splitlines would end line 3 at sep and blame line 4's slot 9.
+    with pytest.raises(ParseError) as exc:
+        parse_state(f"mask 3\nextra 0 0 0\nslot 0 5 1{sep}slot 9 1 1\n")
+    assert exc.value.line_number == 3
+
+
+def test_parse_state_crlf_and_header_errors():
+    m = parse_state("mask 3\r\nextra 1 7 0\r\nslot 2 5 1\r\n")
+    assert (list(m.keys), m.extra_keys, m.zero_value) == ([0, 0, 5, 0], 1, 7)
+    for text in ("", "mask 3\n"):
+        with pytest.raises(ParseError, match="line 1: expected 'mask' and 'extra' header lines"):
+            parse_state(text)
+
+
 def test_parse_state_rejects_out_of_range_slot():
     with pytest.raises(ParseError):
         parse_state("mask 3\nextra 0 0 0\nslot 9 5 5\n")

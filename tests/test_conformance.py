@@ -104,8 +104,8 @@ def test_snapshot_matches_literal_fold():
 def test_equivalence_on_reachable_states():
     for seed in (3, 4, 5):
         m, _ = build_map(15, 200, seed)
-        assert equivalence_violation(m) is None
-    assert equivalence_violation(FixedLongMap(0)) is None
+        assert equivalence_violation(m, snapshot_model(m)) is None
+    assert equivalence_violation(FixedLongMap(0), ListMap.empty()) is None
 
 
 def test_equivalence_detects_value_flipped_after_snapshot():
@@ -138,7 +138,7 @@ def test_equivalence_witness_for_hidden_key():
     j = (i + 1) & 15
     m.keys[j] = 5
     m.values[j] = 51
-    msg = equivalence_violation(m)
+    msg = equivalence_violation(m, snapshot_model(m))
     assert msg is not None and "5" in msg
 
 
@@ -146,7 +146,7 @@ def test_equivalence_detects_duplicate_with_equal_value():
     # The first-wins snapshot folds the copy away and every index agrees
     # with it on the value; only the duplicate itself is wrong.
     m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 1, 0, 0], 2, 0, 0, 0, 0)
-    assert equivalence_violation(m) == "key 5 duplicated at indexes 0 and 1"
+    assert equivalence_violation(m, snapshot_model(m)) == "key 5 duplicated at indexes 0 and 1"
 
 
 @pytest.mark.parametrize("extra_keys, zero_value", [(0, 0), (1, 8), (3, 7)])
@@ -155,6 +155,43 @@ def test_equivalence_detects_sentinel_mismatch(extra_keys, zero_value):
     model = ListMap([(5, 1), (0, 7)])
     msg = equivalence_violation(m, model)
     assert msg is not None and msg.startswith("sentinel fields")
+
+
+def sorted_pairs_rule(m, model) -> bool:
+    """Reference refinement rule: the live pairs in ascending order, one per
+    slot, plus the sentinel pairs, are the model's entries."""
+    pairs = [(k, v) for k, v in zip(m.keys, m.values) if is_valid_key(k)]
+    if m.extra_keys & 1:
+        pairs.append((0, m.zero_value))
+    if m.extra_keys & 2:
+        pairs.append((LONG_MIN, m.min_value))
+    return tuple(sorted(pairs)) == model.items()
+
+
+def test_equivalence_is_the_sorted_pairs_rule_on_random_states():
+    # Masks 0..7 over four keys and both sentinels, duplicates allowed, so
+    # folded-away slots, corrupt extra_keys and near-miss models all occur.
+    rng = random.Random(19)
+    pool = [rng.getrandbits(64) - (1 << 63) for _ in range(4)] + [0, LONG_MIN]
+    agreed = 0
+    for _ in range(20_000):
+        mask = rng.choice((0, 1, 3, 7))
+        keys = [rng.choice(pool) for _ in range(mask + 1)]
+        values = [rng.randrange(3) for _ in range(mask + 1)]
+        m = FixedLongMap.unchecked(mask, keys, values, 0, 0, rng.randrange(8), rng.randrange(3), rng.randrange(3))
+        r = rng.random()
+        if r < 0.4:
+            model = fold_snapshot(m)
+        elif r < 0.7:
+            k = rng.choice(pool)
+            model = fold_snapshot(m).insert(k, rng.randrange(3)) if rng.random() < 0.5 else fold_snapshot(m).remove(k)
+        else:
+            model = ListMap((rng.choice(pool), rng.randrange(3)) for _ in range(rng.randrange(6)))
+        assert snapshot_model(m) == fold_snapshot(m)
+        verdict = equivalence_violation(m, model)
+        assert (verdict is None) == sorted_pairs_rule(m, model), (keys, values, m.extra_keys, model, verdict)
+        agreed += verdict is None
+    assert 2_000 < agreed < 18_000
 
 
 def test_run_trace_deterministic_generation():
@@ -667,12 +704,18 @@ def test_trace_format_round_trip():
         ("mask 7\nU 1_0 2\n", 2),
         ("mask 7\nR \u0661\n", 2),
         ("mask 1_5\n", 1),
+        # A line ends at \n alone; str.splitlines would also end it at these.
+        *[(f"mask 3\nU 1 2{sep}X\n", 2) for sep in "\x0b\x0c\x1c\x1d\x1e\r"],
     ],
 )
 def test_trace_parse_errors(text, line):
     with pytest.raises(ParseError) as exc:
         parse_trace(text)
     assert exc.value.line_number == line
+
+
+def test_trace_parses_crlf_lines():
+    assert parse_trace("mask 3\r\nU 1 2\r\n\r\nG 1\r\n") == (3, [TraceOp("U", 1, 2), TraceOp("G", 1)])
 
 
 def test_fuzz_config_validation():
