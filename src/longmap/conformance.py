@@ -1,12 +1,13 @@
 """Differential checking of FixedLongMap against the ListMap model.
 
 Provides the abstraction function to the model (``snapshot_model``), the
-equivalence check comparing its snapshot with the model, and a
-deterministic randomized trace runner that executes every operation on
-both the array map and the model twin, asserting the public-contract
-relations and the equivalence after each step. A divergence is reported
-with its op index and a minimized reproducing trace. Also the trace
-format, the number grammar all input shares, and ``ParseError``.
+equivalence check comparing its snapshot with a model, and a deterministic
+randomized trace runner that executes every operation on both the array
+map and its twin, a dict updated in place, asserting the public-contract
+relations and the equivalence with the ListMap of the dict's sorted
+entries after each step. A divergence is reported with its op index and a
+minimized reproducing trace. Also the trace format, the number grammar all
+input shares, and ``ParseError``.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _rejection_violation(m, name: str, k: int) -> Optional[str]:
     return f"{name}({k}) returned False but slot {i} in its probe budget holds {keys[i]}"
 
 
-def _sentinels_agree(m, model: ListMap) -> bool:
+def _sentinels_agree(m, model: dict) -> bool:
     """The sentinel fields of ``m`` hold exactly the model's entries for 0 and
     LONG_MIN; the model's values are ints, so ``None`` means absent."""
     zero = m.zero_value if m.extra_keys & 1 else None
@@ -260,10 +261,10 @@ class _VerifiedState:
         self.slot_of = first_slots(m.keys)
         self.offsets = _probe_offsets(m.mask)
 
-    def accepts(self, m, model: ListMap, k: int, want: Optional[int]) -> bool:
+    def accepts(self, m, model: dict, k: int) -> bool:
         """The paper's per-op lemma on one state: True iff ``m`` after an op
-        on ``k`` follows from the copy, so it matches ``model``, whose value
-        for ``k`` is ``want`` (None when absent), and passes ``check_invariant``.
+        on ``k`` follows from the copy, so it matches ``model``, the twin
+        dict after the same op, and passes ``check_invariant``.
 
         The arrays must be the journaled ones and the mask as copied. An op
         on 0 or LONG_MIN may change only the sentinel fields, which must
@@ -309,7 +310,7 @@ class _VerifiedState:
                 else:
                     return False
                 old_keys[was], old_values[was] = now, values[was]
-            if holder is None and want is not None:
+            if holder is None and k in model:
                 new = _stop_slot(keys, k, to_index(k, mask), self.offsets)
                 if new is not None and keys[new] == k:
                     old = old_keys[new]
@@ -326,10 +327,10 @@ class _VerifiedState:
                 return False
             if holder is None:
                 self.slot_of.pop(k, None)
-                held = want is None
+                held = k not in model
             else:
                 self.slot_of[k] = holder
-                held = values[holder] == want
+                held = values[holder] == model.get(k)
         # Every other slot written since the copy must hold what the copy holds.
         written = self.written
         for i in written:
@@ -340,36 +341,31 @@ class _VerifiedState:
         return held
 
 
-def _apply_checked(m, model: ListMap, op: TraceOp, default_entry) -> tuple[ListMap, Optional[str], Optional[int]]:
-    """Run one op on both twins; return the new model, a divergence message
-    and the new model's value for the op's key (None when absent)."""
+def _apply_checked(m, model: dict, op: TraceOp, default_entry) -> Optional[str]:
+    """Run one op on the map and on ``model``, a dict updated in place;
+    return the divergence message, or None."""
     k = op.key
     # On a justified False the model is unchanged; the equivalence check
     # that follows verifies the map was left untouched too.
     if op.kind == "U":
         if not m.update(k, op.value):
-            return model, _rejection_violation(m, "update", k), model.get(k)
-        model = model.insert(k, op.value)
-        if not m.contains(k):
-            return model, f"update({k}) returned True but contains is False", op.value
-        return model, None, op.value
+            return _rejection_violation(m, "update", k)
+        model[k] = op.value
+        return None if m.contains(k) else f"update({k}) returned True but contains is False"
     if op.kind == "R":
         if not m.remove(k):
-            return model, _rejection_violation(m, "remove", k), model.get(k)
-        return model.remove(k), None, None
-    want = model.get(k)
+            return _rejection_violation(m, "remove", k)
+        model.pop(k, None)
+        return None
     if op.kind == "G":
-        expected = default_entry(k) if want is None else want
+        expected = model[k] if k in model else default_entry(k)
         got = m.get(k)
-        if got != expected:
-            return model, f"get({k}) = {got}, model expects {expected}", want
     elif op.kind == "C":
+        expected = k in model
         got = m.contains(k)
-        if got != (want is not None):
-            return model, f"contains({k}) = {got}, model expects {want is not None}", want
     else:
-        return model, f"unknown op kind {op.kind!r}", want
-    return model, None, want
+        return f"unknown op kind {op.kind!r}"
+    return None if got == expected else f"{_OP_NAMES[op.kind]}({k}) = {got}, model expects {expected}"
 
 
 def run_trace(
@@ -383,10 +379,11 @@ def run_trace(
     """Execute ``ops`` differentially against the model, checking contracts.
 
     After every op the twins must agree observably, the whole array must
-    match the model and the map must satisfy the class invariant. An op is
-    verified by its key's slots and the slots a write journal on the map's
-    arrays names, against the last state the full check
-    (``equivalence_violation``, then ``check_invariant``) accepted; the full
+    match the model and the map must satisfy the class invariant. The model
+    twin is a dict, updated in place. An op is verified by its key's slots
+    and the slots a write journal on the map's arrays names, against the
+    last state the full check (``equivalence_violation`` on the ListMap of
+    the dict's sorted entries, then ``check_invariant``) accepted; the full
     check runs on the first op, after growth and whenever that does not
     settle it, and it alone words a divergence. A map op that raises is a
     divergence as well. The first divergence stops the run; with ``shrink``
@@ -398,7 +395,7 @@ def run_trace(
         map_factory = FixedLongMap
 
     m = map_factory(mask, default_entry)
-    model = ListMap.empty()
+    model = {}
     counts = {kind: 0 for kind in OP_KINDS}
     eq_checks = 0
     divergence = None
@@ -407,13 +404,13 @@ def run_trace(
     for idx, op in enumerate(ops):
         counts[op.kind] = counts.get(op.kind, 0) + 1
         try:
-            model, msg, want = _apply_checked(m, model, op, default_entry)
+            msg = _apply_checked(m, model, op, default_entry)
         except Exception as exc:  # a map defect that raises is a divergence too
             msg = f"{_OP_NAMES[op.kind]}({op.key}) raised {type(exc).__name__}: {exc}"
         if msg is None:
             eq_checks += 1
-            if verified is None or not verified.accepts(m, model, op.key, want):
-                eq = equivalence_violation(m, model)
+            if verified is None or not verified.accepts(m, model, op.key):
+                eq = equivalence_violation(m, ListMap._from_sorted(tuple(sorted(model.items()))))
                 if eq is not None:
                     msg = f"snapshot != model: {eq}"
                 elif not (report := check_invariant(m)).valid:

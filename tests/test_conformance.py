@@ -56,6 +56,11 @@ def fold_snapshot(m) -> ListMap:
     return model
 
 
+def as_listmap(model: dict) -> ListMap:
+    """The ListMap of a model dict's entries, built by ``insert``."""
+    return ListMap(model.items())
+
+
 def build_map(mask, ops_count, seed, pool=None):
     rng = random.Random(seed)
     m = FixedLongMap(mask)
@@ -315,7 +320,7 @@ def test_divergence_detected_and_shrunk():
 
 def declined(monkeypatch):
     """Turn the delta step off: every op goes to the full check."""
-    monkeypatch.setattr(conformance._VerifiedState, "accepts", lambda self, inner, model, k, want: False)
+    monkeypatch.setattr(conformance._VerifiedState, "accepts", lambda self, inner, model, k: False)
 
 
 def count_full_checks(monkeypatch) -> list:
@@ -323,7 +328,7 @@ def count_full_checks(monkeypatch) -> list:
     calls = []
     full = conformance.equivalence_violation
 
-    def counted(m, model=None):
+    def counted(m, model):
         calls.append(m)
         return full(m, model)
 
@@ -555,10 +560,9 @@ MASKS = (0, 1, 3, 7, 15)
 
 def corrupted(rng, m, model, k, pool):
     """At most one fault after an op on ``k``: in one slot's key or value,
-    in a sentinel field, in the model's entry for ``k``, ``k`` moved to
+    in a sentinel field, in the model dict's entry for ``k``, ``k`` moved to
     another slot over what it held, a counter off by one, the mask changed,
-    ``extra_keys`` past 3, or a tombstone emptied with the count kept right.
-    Returns the model."""
+    ``extra_keys`` past 3, or a tombstone emptied with the count kept right."""
     fault = rng.randrange(12)
     i = rng.randrange(len(m.keys))
     if fault == 0:
@@ -572,7 +576,10 @@ def corrupted(rng, m, model, k, pool):
     elif fault == 4:
         m.min_value = rng.choice(SMALL_VALUES)
     elif fault == 5:
-        return model.remove(k) if rng.random() < 0.5 else model.insert(k, rng.choice(SMALL_VALUES))
+        if rng.random() < 0.5:
+            model.pop(k, None)
+        else:
+            model[k] = rng.choice(SMALL_VALUES)
     elif fault == 6 and k in m.keys:
         j = m.keys.index(k)
         m.keys[i], m.values[i] = k, m.values[j]
@@ -589,7 +596,6 @@ def corrupted(rng, m, model, k, pool):
     elif fault == 11 and LONG_MIN in m.keys:
         m.keys[rng.choice([j for j, q in enumerate(m.keys) if q == LONG_MIN])] = 0
         m.tombstones -= 1
-    return model
 
 
 def test_delta_step_accepts_only_equivalent_states():
@@ -604,32 +610,75 @@ def test_delta_step_accepts_only_equivalent_states():
     forks = {True: 0, False: 0}
     for _ in range(400):
         mask = rng.choice(MASKS)
-        m, model, verified = FixedLongMap(mask), ListMap.empty(), None
+        m, model, verified = FixedLongMap(mask), {}, None
         for _ in range(60):
             kind = rng.choice("UUURGC")
             op = TraceOp(kind, rng.choice(pool), rng.choice(SMALL_VALUES) if kind == "U" else 0)
             forked = rng.random() < 0.5
-            t, state = copy.deepcopy((m, verified)) if forked else (m, verified)
+            t, after, state = copy.deepcopy((m, model, verified)) if forked else (m, model, verified)
             if state is not None:  # the copy and its journal survive the fork
                 assert type(t.keys) is type(t.values) is conformance._Journaled
                 assert t.keys.written is t.values.written is state.written
-            after, msg, want = conformance._apply_checked(t, model, op, zero_entry)
-            assert msg is None and want == after.get(op.key)
+            assert conformance._apply_checked(t, after, op, zero_entry) is None
             if forked:
-                after = corrupted(rng, t, after, op.key, pool)
-                want = after.get(op.key)
-            accepted = state is not None and state.accepts(t, after, op.key, want)
-            if accepted and (equivalence_violation(t, after) is not None or not check(t).valid):
-                unsound.append((mask, op, list(t.keys), list(t.values), after.items()))
+                corrupted(rng, t, after, op.key, pool)
+            accepted = state is not None and state.accepts(t, after, op.key)
+            if accepted and (equivalence_violation(t, as_listmap(after)) is not None or not check(t).valid):
+                unsound.append((mask, op, list(t.keys), list(t.values), sorted(after.items())))
             if forked:
                 forks[accepted] += 1
                 continue
             if not accepted:
-                assert equivalence_violation(m, after) is None and check(m).valid
+                assert equivalence_violation(m, as_listmap(model)) is None and check(m).valid
                 verified = conformance._VerifiedState(m)
-            model = after
     assert unsound == []
     assert min(forks.values()) > 100
+
+
+def test_model_twin_is_the_listmap_fold():
+    # Seeded walks on correct fixed maps at masks 0 to 15 over six keys and
+    # the two sentinels: after every op the twin dict's sorted entries are
+    # the paper's model, the ListMap folded by insert and remove over the
+    # same ops. A refused update folds nothing.
+    rng = random.Random(1972)
+    pool = [rng.getrandbits(63) + 1 for _ in range(6)] + [0, LONG_MIN]
+    refused = {mask: 0 for mask in MASKS}
+    absent_removes = 0
+    for _ in range(300):
+        mask = rng.choice(MASKS)
+        m, model, fold = FixedLongMap(mask), {}, ListMap.empty()
+        for _ in range(40):
+            kind = rng.choice("UUURGC")
+            op = TraceOp(kind, rng.choice(pool), rng.choice(SMALL_VALUES) if kind == "U" else 0)
+            assert conformance._apply_checked(m, model, op, zero_entry) is None, op
+            if op.kind == "U" and m.contains(op.key):  # a refused update leaves the key out
+                fold = fold.insert(op.key, op.value)
+            elif op.kind == "U":
+                refused[mask] += 1
+            elif op.kind == "R":
+                absent_removes += not fold.contains(op.key)
+                fold = fold.remove(op.key)
+            assert tuple(sorted(model.items())) == fold.items(), (mask, op)
+    assert refused[0] > 0 and refused[1] > 0
+    assert absent_removes > 0
+
+
+def test_checked_growable_fill_to_2_pow_18_slots(monkeypatch):
+    # 2^16 + 1 fresh keys from mask 1: under the half-load rule the last one
+    # doubles the map to 2^18 slots. The full check runs on the first op and
+    # once after each of the 17 doublings.
+    rng = random.Random(2107)
+    seen, ops = set(), []
+    while len(ops) < (1 << 16) + 1:
+        k = rng.getrandbits(64) - (1 << 63)
+        if is_valid_key(k) and k not in seen:
+            seen.add(k)
+            ops.append(TraceOp("U", k, k & 0xFF))
+    calls = count_full_checks(monkeypatch)
+    res = run_trace(ops, 1, map_factory=GrowableLongMap, shrink=False)
+    assert res.ok, res.divergence
+    assert len(res.final_map.keys) == 1 << 18 and res.final_map.growth_count == 17
+    assert len(calls) == 1 + res.final_map.growth_count
 
 
 def count_walks(monkeypatch) -> list:
@@ -666,18 +715,17 @@ def test_delta_step_walks_no_path_for_reads_overwrites_and_removes_of_absent_key
     rng = random.Random(5)
     stored = [rng.getrandbits(63) + 1 for _ in range(48)]
     absent = [rng.getrandbits(63) + 1 for _ in range(16)]
-    m, model = FixedLongMap(63), ListMap.empty()
+    m, model = FixedLongMap(63), {}
     for k in stored + [0]:
-        model, msg, _ = conformance._apply_checked(m, model, TraceOp("U", k, k & 0xFF), zero_entry)
-        assert msg is None
+        assert conformance._apply_checked(m, model, TraceOp("U", k, k & 0xFF), zero_entry) is None
     verified = conformance._VerifiedState(m)
     tail = [TraceOp(kind, k) for k in stored + [0, LONG_MIN] for kind in "GC"]
     tail += [TraceOp("U", k, 7) for k in stored + [0]] + [TraceOp("R", k) for k in absent + [LONG_MIN]]
     tail += [TraceOp(kind, k) for k in absent for kind in "GC"]
     walked = count_walks(monkeypatch)
     for op in tail:
-        model, msg, want = conformance._apply_checked(m, model, op, zero_entry)
-        assert msg is None and verified.accepts(m, model, op.key, want), op
+        assert conformance._apply_checked(m, model, op, zero_entry) is None, op
+        assert verified.accepts(m, model, op.key), op
     assert walked == []
 
 
