@@ -3,11 +3,13 @@
 Provides the abstraction function to the model (``snapshot_model``), the
 equivalence check comparing its snapshot with a model, and a deterministic
 randomized trace runner that executes every operation on both the array
-map and its twin, a dict updated in place, asserting the public-contract
-relations and the equivalence with the ListMap of the dict's sorted
-entries after each step. A divergence is reported with its op index and a
-minimized reproducing trace. Also the trace format, the number grammar all
-input shares, and ``ParseError``.
+map and its twin, a dict updated in place. After each op the map must
+match the ListMap of the dict's sorted entries and keep the class
+invariant: the full check decides that on the whole array, the delta step
+on the slots the op wrote, each of which must stay unchanged, go from free
+to the op's key or from that key to a tombstone. A divergence is reported
+with its op index and a minimized reproducing trace. Also the trace
+format, the number grammar all input shares, and ``ParseError``.
 """
 
 from __future__ import annotations
@@ -235,17 +237,25 @@ def _unjournaled(a):
 
 
 class _VerifiedState:
-    """Copy of the last map state that the full check accepted.
+    """Copy of the last map state that the full check accepted, and the
+    delta step that checks an op against it.
 
     Holds the key and value arrays, the journaled arrays it put on the map
     in their place and the journal they share, the slot of each live key,
     the mask, counters and sentinel fields, and the mask's probe offsets.
-    The journal sees every write through ``__setitem__`` and ``__delitem__``.
-    It is blind to the in-place array methods (``byteswap``, ``reverse``,
-    ``frombytes``, writes through a ``memoryview`` and the like), so the map
-    must reach its arrays through ``keys`` and ``values`` and write them by
-    index or slice only; ``tests/test_layering.py`` holds ``core`` and
-    ``growable`` to that.
+    An op on ``k`` may move each slot it wrote in one of three ways:
+    unchanged, free (0 or LONG_MIN) to ``k``, or ``k`` to a tombstone. None
+    of them turns a slot into 0 or puts a key over another, so every other
+    key's probe path still ends at its slot, and only a ``k`` in a new slot
+    needs a walk. The copy matched the model, which changed at ``k`` alone,
+    so it is enough that ``k`` is held exactly when the model holds it,
+    with its value. The journal sees every write through ``__setitem__`` and
+    ``__delitem__``; the delta step reads index writes only and declines
+    the rest. It is blind to the in-place array methods (``byteswap``,
+    ``reverse``, ``frombytes``, writes through a ``memoryview`` and the
+    like), so the map must reach its arrays through ``keys`` and ``values``
+    and write them by index or slice only; ``tests/test_layering.py`` holds
+    ``core`` and ``growable`` to that.
     """
 
     __slots__ = ("source", "keys", "values", "written", "fields", "slot_of", "offsets")
@@ -266,24 +276,16 @@ class _VerifiedState:
         on ``k`` follows from the copy, so it matches ``model``, the twin
         dict after the same op, and passes ``check_invariant``.
 
-        The arrays must be the journaled ones and the mask as copied. An op
-        on 0 or LONG_MIN may change only the sentinel fields, which must
-        agree with the model, ``extra_keys`` in 0..3. Any other op must keep
-        them and may touch only ``k``'s slot in the copy and, on a fresh
-        insert, the slot where ``k``'s probe path now reaches ``k``: the first
-        held ``k`` and now holds LONG_MIN or ``k``, the second held 0,
-        LONG_MIN or ``k`` and now holds ``k``, and the counters move by those
-        transitions. Every other slot the journal names equals the copy, and
-        no other slot was written. Refinement: the copy had no duplicate and
-        matched the model, which changed at ``k`` alone, so ``k`` must be held
-        exactly when the model holds it, with its value. Invariant: no slot
-        turns back into 0 or takes another key, so every other key's probe
-        path still stops at its slot; ``k`` is where the walk stops or on an
-        untouched path. A reallocated table never passes. On True the copy
-        takes the change and the journal is cleared; on False it is stale.
+        The arrays must be the journaled ones and the mask and sentinel
+        fields as copied, or on an op on 0 or LONG_MIN agree with the model.
+        Each slot the journal names by index is unchanged (only a live
+        ``k``'s value may change), goes from free to ``k`` or from ``k`` to a
+        tombstone. The counters must then match, ``k`` be held exactly when
+        the model holds it, and a moved ``k`` sit where its probe path stops.
+        On True the copy takes the change and the journal is cleared.
         """
         keys, values = m.keys, m.values
-        old_keys, old_values = self.keys, self.values
+        old_keys, old_values, slot_of = self.keys, self.values, self.slot_of
         fields, copied = _fields(m), self.fields
         n = len(old_keys)
         if keys is not self.source[0] or values is not self.source[1] or len(keys) != n or len(values) != n:
@@ -291,54 +293,41 @@ class _VerifiedState:
         mask, size, tombstones = copied[:3]
         if fields[0] != mask:
             return False
-        if k == 0 or k == LONG_MIN:
-            if fields[1:3] != (size, tombstones) or not 0 <= m.extra_keys <= 3 or not _sentinels_agree(m, model):
+        live = k != 0 and k != LONG_MIN
+        if live:
+            if fields[3:] != copied[3:]:
                 return False
-            held = True
-        elif fields[3:] != copied[3:]:
+        elif not 0 <= m.extra_keys <= 3 or not _sentinels_agree(m, model):
             return False
-        else:
-            holder = None
-            was = self.slot_of.get(k)
-            if was is not None:  # the copy holds k there
-                now = keys[was]
-                if now == k:
-                    holder = was
-                elif now == LONG_MIN:
+        was = slot_of.get(k)
+        for i in self.written:
+            if type(i) is not int:  # a slice, or a deletion's None
+                return False
+            old, now = old_keys[i], keys[i]
+            if now != old:
+                if live and now == k and (old == 0 or old == LONG_MIN) and k not in slot_of:  # free -> k
+                    slot_of[k] = i
+                    size += 1
+                    tombstones -= old == LONG_MIN
+                elif live and old == k and now == LONG_MIN:  # k -> tombstone
+                    del slot_of[k]
                     size -= 1
                     tombstones += 1
                 else:
                     return False
-                old_keys[was], old_values[was] = now, values[was]
-            if holder is None and k in model:
-                new = _stop_slot(keys, k, to_index(k, mask), self.offsets)
-                if new is not None and keys[new] == k:
-                    old = old_keys[new]
-                    if old == 0:
-                        size += 1
-                    elif old == LONG_MIN:
-                        size += 1
-                        tombstones -= 1
-                    elif old != k:
-                        return False
-                    old_keys[new], old_values[new] = k, values[new]
-                    holder = new
-            if fields[1] != size or fields[2] != tombstones:
-                return False
-            if holder is None:
-                self.slot_of.pop(k, None)
-                held = k not in model
-            else:
-                self.slot_of[k] = holder
-                held = values[holder] == model.get(k)
-        # Every other slot written since the copy must hold what the copy holds.
-        written = self.written
-        for i in written:
-            if i is None or keys[i] != old_keys[i] or values[i] != old_values[i]:
-                return False
-        written.clear()
+                old_keys[i] = now
+            elif values[i] != old_values[i] and (old != k or not live):
+                return False  # the key is unchanged: only a live k's value may move
+            old_values[i] = values[i]
+        at = slot_of.get(k)
+        held = None if at is None else values[at]
+        if fields[1] != size or fields[2] != tombstones or live and model.get(k) != held:
+            return False
+        if at is not None and at != was and _stop_slot(keys, k, to_index(k, mask), self.offsets) != at:
+            return False
+        self.written.clear()
         self.fields = fields
-        return held
+        return True
 
 
 def _apply_checked(m, model: dict, op: TraceOp, default_entry) -> Optional[str]:
@@ -380,15 +369,15 @@ def run_trace(
 
     After every op the twins must agree observably, the whole array must
     match the model and the map must satisfy the class invariant. The model
-    twin is a dict, updated in place. An op is verified by its key's slots
-    and the slots a write journal on the map's arrays names, against the
-    last state the full check (``equivalence_violation`` on the ListMap of
-    the dict's sorted entries, then ``check_invariant``) accepted; the full
-    check runs on the first op, after growth and whenever that does not
-    settle it, and it alone words a divergence. A map op that raises is a
-    divergence as well. The first divergence stops the run; with ``shrink``
-    a minimized reproducing trace is attached to the result. The final map
-    holds plain arrays again.
+    twin is a dict, updated in place. An op is verified by the slots a
+    write journal on the map's arrays names, against the last state the
+    full check (``equivalence_violation`` on the ListMap of the dict's
+    sorted entries, then ``check_invariant``) accepted; the full check runs
+    on the first op, after growth and whenever that does not settle it, and
+    it alone words a divergence. A map op that raises is a divergence as
+    well. The first divergence stops the run; with ``shrink`` a minimized
+    reproducing trace is attached to the result. The final map holds plain
+    arrays again.
     """
     ops = list(ops)
     if map_factory is None:

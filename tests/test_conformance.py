@@ -3,6 +3,7 @@
 import copy
 import random
 from array import array
+from itertools import product
 
 import pytest
 
@@ -32,6 +33,7 @@ from longmap.conformance import (
     generate_trace,
     parse_trace,
 )
+from test_growable import colliding_keys
 from test_seek import probe_violation
 
 
@@ -408,6 +410,15 @@ class CopiesTargetTwice(CorruptsAfterTrigger):
         self.keys[j], self.values[j] = TARGET, self.values[i]
 
 
+class CopiesTargetTwiceCounted(CopiesTargetTwice):
+    """Counts the copy as an insert into a tombstone: only the duplicate is wrong."""
+
+    def corrupt(self):
+        super().corrupt()
+        self.array_size += 1
+        self.tombstones -= 1
+
+
 class StoresTargetOverOtherKey(CorruptsAfterTrigger):
     """Moves TARGET onto the first other key on its probe path, which is lost."""
 
@@ -459,6 +470,7 @@ class MovesOtherKey(CorruptsAfterTrigger):
         (RewritesOtherValueOnSentinelOp, "value mismatch for key 5 at index 0"),
         (RewritesTargetValue, f"value mismatch for key {TARGET} "),
         (CopiesTargetTwice, f"key {TARGET} duplicated at indexes"),
+        (CopiesTargetTwiceCounted, f"key {TARGET} duplicated at indexes"),
         (StoresTargetOverOtherKey, "model key 4 does not occur"),
         (TombstoneTakesOtherKey, "key 5 duplicated at indexes 0 and"),
         (FlipsSentinelBit, "sentinel fields"),
@@ -511,6 +523,29 @@ def test_stray_write_caught_at_its_op_by_the_journal(factory, monkeypatch):
     assert len(calls) == 2  # the first op, then the op of the stray write
     declined(monkeypatch)
     assert run_trace(CORRUPTION_TRACE, 15, map_factory=factory, shrink=False).divergence == res.divergence
+
+
+class TombstonesBySlice(FixedLongMap):
+    """Writes each tombstone as a one-slot slice; the state stays correct."""
+
+    def remove(self, key):
+        if not is_valid_key(key) or key not in self.keys:
+            return super().remove(key)
+        i = self.keys.index(key)
+        self.keys[i : i + 1] = array("q", (LONG_MIN,))
+        self.values[i] = 0
+        self.array_size -= 1
+        self.tombstones += 1
+        return True
+
+
+def test_slice_write_goes_to_the_full_check(monkeypatch):
+    # The delta step reads the journal by index only: an op that wrote a
+    # slice is declined and the full check passes it.
+    calls = count_full_checks(monkeypatch)
+    res = run_trace(CORRUPTION_TRACE, 15, map_factory=TombstonesBySlice, shrink=False)
+    assert res.ok, res.divergence
+    assert len(calls) == 3  # the first op, then the removes of 1 and TARGET
 
 
 class GrowableRewritesOtherValue(RewritesOtherValue, GrowableLongMap):
@@ -727,6 +762,60 @@ def test_delta_step_walks_no_path_for_reads_overwrites_and_removes_of_absent_key
         assert conformance._apply_checked(m, model, op, zero_entry) is None, op
         assert verified.accepts(m, model, op.key), op
     assert walked == []
+
+
+def state_of(m) -> tuple:
+    """The mask, arrays, counters and sentinel fields of ``m``, hashable."""
+    return (m.mask, tuple(m.keys), tuple(m.values), m.array_size, m.tombstones, m.extra_keys, m.zero_value, m.min_value)
+
+
+def checked_op(state, model, op):
+    """A map in ``state`` with its verified copy, after ``op`` ran on it and a copy of ``model``."""
+    mask, keys, values, *fields = state
+    m = FixedLongMap.unchecked(mask, array("q", keys), array("q", values), *fields)
+    verified, model = conformance._VerifiedState(m), dict(model)
+    assert conformance._apply_checked(m, model, op, zero_entry) is None, op
+    return m, model, verified
+
+
+def test_delta_step_is_exact_on_one_extra_write_at_small_masks():
+    # Breadth-first to depth 3 from empty fixed maps at masks 0, 1 and 3 over
+    # two keys sharing a 32-bit hash, a third key and both sentinels. From
+    # every reached state each clean op is accepted; each op followed by one
+    # more journaled write of any of those keys to any slot, with or without
+    # a value change, is accepted only if the full check passes.
+    pool = colliding_keys(2) + [5, 0, LONG_MIN]
+    ops = [TraceOp("U", k, v) for k in pool for v in (1, 2)]
+    ops += [TraceOp(kind, k) for k in pool for kind in "RGC"]
+    forks = {True: 0, False: 0}
+    states = 0
+    for mask in (0, 1, 3):
+        frontier = {state_of(FixedLongMap(mask)): {}}
+        seen = set(frontier)
+        for _ in range(3):
+            reached = {}
+            for state, model in frontier.items():
+                for op in ops:
+                    m, after, verified = checked_op(state, model, op)
+                    assert verified.accepts(m, after, op.key), (state, op)
+                    if state_of(m) not in seen:
+                        seen.add(state_of(m))
+                        reached[state_of(m)] = after
+                    for i, k, change in product(range(mask + 1), pool, (0, 1)):
+                        t, t_after, t_verified = checked_op(state, model, op)
+                        t.keys[i] = k
+                        if change:
+                            t.values[i] += 1
+                        accepted = t_verified.accepts(t, t_after, op.key)
+                        forks[accepted] += 1
+                        if accepted:
+                            where = (state, op, i, k, change)
+                            assert equivalence_violation(t, as_listmap(t_after)) is None, where
+                            assert check(t).valid, where
+            frontier = reached
+        states += len(seen)
+    assert states == 426
+    assert min(forks.values()) > 9000
 
 
 def test_trace_format_round_trip():
