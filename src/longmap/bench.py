@@ -54,8 +54,9 @@ def run_bench(
     """Probe-length histogram and mean at each occupancy level.
 
     Levels are fractions of the starting capacity 2**mask_exponent and must
-    be strictly increasing in [0, 1); fill keys and probed keys are drawn
-    from the seed, so equal arguments give an equal report.
+    be strictly increasing in [0, 1), and a level the map cannot fill raises
+    ValueError; fill keys and probed keys are drawn from the seed, so equal
+    arguments give an equal report.
     """
     levels = list(levels)
     if not levels:
@@ -89,7 +90,7 @@ def run_bench(
         while len(present) < want:
             k = _fresh_absent_key(rng, taken)
             if not m.update(k, rng.getrandbits(64) - (1 << 63)):
-                raise AssertionError(f"fill insert failed at occupancy {target}")
+                raise ValueError(f"occupancy level {target} is out of reach: key {len(present) + 1} of {want} refused")
             taken.add(k)
             present.append(k)
         report.levels.append(_measure_level(m, target, present, taken, ops_per_level, rng))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from copy import deepcopy
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional
@@ -37,8 +36,8 @@ from .listmap import ListMap
 
 OP_KINDS = ("U", "R", "G", "C")
 _OP_NAMES = dict(zip(OP_KINDS, ("update", "remove", "get", "contains")))
-# The mask, both counters and the sentinel fields of a map.
-_fields = attrgetter("mask", "array_size", "tombstones", "extra_keys", "zero_value", "min_value")
+# The mask and both counters of a map.
+_fields = attrgetter("mask", "array_size", "tombstones")
 
 
 @dataclass(frozen=True)
@@ -224,12 +223,6 @@ class _Journaled(array):
         array.__delitem__(self, i)
         self.written.append(None)
 
-    def __deepcopy__(self, memo):
-        # array's own copy is a plain array, which would lose the journal.
-        twin = _Journaled("q", self)
-        twin.written = deepcopy(self.written, memo)
-        return twin
-
 
 def _unjournaled(a):
     """``a`` as a plain ``array('q')``: a journaled array is copied."""
@@ -242,7 +235,7 @@ class _VerifiedState:
 
     Holds the key and value arrays, the journaled arrays it put on the map
     in their place and the journal they share, the slot of each live key,
-    the mask, counters and sentinel fields, and the mask's probe offsets.
+    the mask and counters, and the mask's probe offsets.
     An op on ``k`` may move each slot it wrote in one of three ways:
     unchanged, free (0 or LONG_MIN) to ``k``, or ``k`` to a tombstone. None
     of them turns a slot into 0 or puts a key over another, so every other
@@ -276,29 +269,24 @@ class _VerifiedState:
         on ``k`` follows from the copy, so it matches ``model``, the twin
         dict after the same op, and passes ``check_invariant``.
 
-        The arrays must be the journaled ones and the mask and sentinel
-        fields as copied, or on an op on 0 or LONG_MIN agree with the model.
-        Each slot the journal names by index is unchanged (only a live
-        ``k``'s value may change), goes from free to ``k`` or from ``k`` to a
-        tombstone. The counters must then match, ``k`` be held exactly when
-        the model holds it, and a moved ``k`` sit where its probe path stops.
-        On True the copy takes the change and the journal is cleared.
+        The arrays must be the journaled ones, the mask as copied and, as in
+        the full check, ``extra_keys`` in 0..3 marking the model's sentinel
+        entries. Each slot the journal names by index is unchanged (only a
+        live ``k``'s value may change), goes from free to ``k`` or from ``k``
+        to a tombstone. The counters must then match, ``k`` be held exactly
+        when the model holds it, and a moved ``k`` sit where its probe path
+        stops. On True the copy takes the change and the journal is cleared.
         """
         keys, values = m.keys, m.values
         old_keys, old_values, slot_of = self.keys, self.values, self.slot_of
-        fields, copied = _fields(m), self.fields
+        fields = _fields(m)
         n = len(old_keys)
         if keys is not self.source[0] or values is not self.source[1] or len(keys) != n or len(values) != n:
             return False
-        mask, size, tombstones = copied[:3]
-        if fields[0] != mask:
+        mask, size, tombstones = self.fields
+        if fields[0] != mask or not 0 <= m.extra_keys <= 3 or not _sentinels_agree(m, model):
             return False
         live = k != 0 and k != LONG_MIN
-        if live:
-            if fields[3:] != copied[3:]:
-                return False
-        elif not 0 <= m.extra_keys <= 3 or not _sentinels_agree(m, model):
-            return False
         was = slot_of.get(k)
         for i in self.written:
             if type(i) is not int:  # a slice, or a deletion's None

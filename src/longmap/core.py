@@ -82,20 +82,16 @@ def _probe(k: int, keys, mask: int) -> tuple[int, int, int]:
     The paper's two seek phases (up to the first tombstone, then past it)
     share this one loop and its iteration budget.
     """
-    # Below MAX_PROBES slots the first mask + 1 probes visit every slot once
-    # and later ones only revisit them, so stopping there changes no outcome,
-    # and a table that holds neither k nor 0 is a refusal decided at C speed
-    # (0 is looked for first: that scan stops at the first empty slot).
-    if mask < MAX_PROBES:
-        if 0 not in keys and k not in keys:
-            return UNDEFINED, -1, MAX_PROBES
-        limit = mask + 1
-    else:
-        limit = MAX_PROBES
+    # Below MAX_PROBES slots the first mask + 1 probes visit every slot, so
+    # a table that holds neither k nor 0 is a refusal decided at C speed (0
+    # is looked for first: that scan stops at the first empty slot); any
+    # other table stops the walk within those mask + 1 probes.
+    if mask < MAX_PROBES and 0 not in keys and k not in keys:
+        return UNDEFINED, -1, MAX_PROBES
     e = to_index(k, mask)
     vacant = -1
     x = 0
-    while x < limit:
+    while x < MAX_PROBES:
         q = keys[e]
         if q == k:
             return FOUND, e, x

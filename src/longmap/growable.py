@@ -80,7 +80,6 @@ class GrowableLongMap(FixedLongMap):
         slots, each key to the first 0 slot of its probe path, within ``_probe``'s budget."""
         new = FixedLongMap(mask)
         keys, values = new.keys, new.values
-        limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES
         for k, v in zip(self.keys, self.values):
             if k == 0 or k == LONG_MIN:
                 continue
@@ -88,7 +87,7 @@ class GrowableLongMap(FixedLongMap):
             x = 0
             while keys[e]:
                 x += 1
-                if x == limit:
+                if x == MAX_PROBES:
                     raise AssertionError(f"reinsert of {k} failed while rebuilding")
                 e = next_probe(e, x, mask)
             keys[e] = k

@@ -83,7 +83,7 @@ MUTANTS = (
         "rebuild-placement-budget-1",
         growable.GrowableLongMap,
         "_rebuild",
-        {"limit = mask + 1 if mask < MAX_PROBES else MAX_PROBES": "limit = 1"},
+        {"if x == MAX_PROBES:": "if x == 1:"},
         map_factory=_growable_from_one,
     ),
     Mutant(
@@ -97,7 +97,7 @@ MUTANTS = (
 
 # Observable only where a probe path runs 2048 slots deep, which no fuzz
 # trace of the corpus above reaches; keys sharing one hash do.
-BUDGET_MUTANT = Mutant("probe-budget-2047", core, "_probe", {"limit = MAX_PROBES": "limit = MAX_PROBES - 1"})
+BUDGET_MUTANT = Mutant("probe-budget-2047", core, "_probe", {"while x < MAX_PROBES:": "while x < MAX_PROBES - 1:"})
 
 
 def mutated(fn, edits: dict):

@@ -299,6 +299,9 @@ def test_parse_state_crlf_and_header_errors():
     for text in ("", "mask 3\n"):
         with pytest.raises(ParseError, match="line 1: expected 'mask' and 'extra' header lines"):
             parse_state(text)
+    with pytest.raises(ParseError, match="line 1: expected 'mask <decimal>'"):
+        parse_state("mosk 3\nextra 0 0 0\n")
+    assert list(parse_state("mask 1\nextra 0 0 0\n\nslot 1 5 6\n").keys) == [0, 5]
 
 
 def test_parse_state_rejects_out_of_range_slot():
@@ -351,6 +354,14 @@ def test_bench_full_table_level_keeps_its_keys():
     assert max(report.levels[-1].probe_histogram) == 16
 
 
+def test_bench_unreachable_level_is_an_error(capsys):
+    # 2^12 slots outrun the 2048-probe budget: the fixed map refuses a fill
+    # insert before round(0.9999 * 4096) keys, a legal refusal.
+    code, out, err = run_cli(capsys, "bench", "--mask-exp", "12", "--levels", "0.9999")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [err.strip()] and err.startswith("error: occupancy level 0.9999 is out of reach")
+
+
 @pytest.mark.parametrize("mode", [[], ["--growable"]], ids=["fixed", "growable"])
 def test_bench_output_is_deterministic(tmp_path, capsys, mode):
     out_path = tmp_path / "bench.json"
@@ -370,6 +381,10 @@ def test_bench_rejects_bad_levels(capsys):
     code, _, err = run_cli(capsys, "bench", "--mask-exp", "4", "--levels", "0.5,0.2")
     assert code == 2
     code, _, err = run_cli(capsys, "bench", "--mask-exp", "4", "--levels", "x,y")
+    assert code == 2
+    code, _, err = run_cli(capsys, "bench", "--mask-exp", "4", "--levels", "1.5")
+    assert code == 2
+    code, _, err = run_cli(capsys, "bench", "--mask-exp", "4", "--ops-per-level", "0")
     assert code == 2
 
 

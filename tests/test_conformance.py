@@ -633,12 +633,21 @@ def corrupted(rng, m, model, k, pool):
         m.tombstones -= 1
 
 
-def test_delta_step_accepts_only_equivalent_states():
+def _journaled_deepcopy(self, memo):
+    """``_Journaled.__deepcopy__`` for forks: array's own copy is a plain
+    array, which would lose the journal."""
+    twin = conformance._Journaled("q", self)
+    twin.written = copy.deepcopy(self.written, memo)
+    return twin
+
+
+def test_delta_step_accepts_only_equivalent_states(monkeypatch):
     # Random walks from empty maps at masks 0 to 15 over six keys and the
     # two sentinels, the copy kept across ops as run_trace keeps it. Half
     # the ops run on a fork of the map and its copy and are then faulted;
     # whenever the delta step accepts, the full check must agree: the state
     # matches the model and passes the class invariant.
+    monkeypatch.setattr(conformance._Journaled, "__deepcopy__", _journaled_deepcopy, raising=False)
     rng = random.Random(2107)
     pool = [rng.getrandbits(63) + 1 for _ in range(6)] + [0, LONG_MIN]
     unsound = []
@@ -835,6 +844,7 @@ def test_trace_format_round_trip():
         ("mask 5\n", 1),
         ("size 7\n", 1),
         ("mask 7\nU 1\n", 2),
+        ("mask 7\nR 1 2\n", 2),
         ("mask 7\nX 1 2\n", 2),
         ("mask 7\nU 1 99999999999999999999999\n", 2),
         ("mask 7\nG abc\n", 2),
@@ -862,6 +872,8 @@ def test_fuzz_config_validation():
         FuzzConfig(seed=1, op_count=0, mask_exponent=3)
     with pytest.raises(ValueError):
         FuzzConfig(seed=1, op_count=10, mask_exponent=3, sentinel_weight=0.9)
+    with pytest.raises(ValueError):
+        FuzzConfig(seed=1, op_count=10, mask_exponent=3, key_pool_size=0)
 
 
 # Criterion 6's check of the probe loop against the two-phase reference.

@@ -7,7 +7,8 @@ import pytest
 
 import longmap.core as core
 from longmap import LONG_MIN, MAX_PROBES, FixedLongMap, next_probe, to_index
-from longmap.core import FOUND, MISSING_VACANT, MISSING_ZERO, UNDEFINED, _probe
+from longmap.core import FOUND, MAX_MASK_EXPONENT, MISSING_VACANT, MISSING_ZERO, UNDEFINED, _probe
+from longmap.invariants import _probe_offsets
 
 K = 741776177  # arbitrary valid key
 
@@ -108,18 +109,21 @@ def test_counter_carries_across_phases():
     assert _probe(K, [LONG_MIN], 0) == (UNDEFINED, -1, MAX_PROBES)
 
 
-@pytest.mark.parametrize("exp", range(12))
+@pytest.mark.parametrize("exp", range(MAX_MASK_EXPONENT + 1))
 def test_first_capacity_probes_visit_every_slot_once(exp):
-    # Below MAX_PROBES slots, probes past the first mask + 1 only revisit
-    # slots, which is why _probe may stop there.
+    # The first min(mask + 1, MAX_PROBES) probes are distinct, so below
+    # MAX_PROBES slots they visit every slot: a walk that _probe's C-speed
+    # refusal lets through meets its 0 or k within them, and MAX_PROBES is
+    # the one bound the probe loop and the rebuild need.
     mask = (1 << exp) - 1
-    assert mask < MAX_PROBES
+    n = min(mask + 1, MAX_PROBES)
     e = 0
     offsets = [e]
-    for x in range(1, mask + 1):
+    for x in range(1, n):
         e = next_probe(e, x, mask)
         offsets.append(e)
-    assert sorted(offsets) == list(range(mask + 1))
+    assert len(set(offsets)) == n
+    assert len(_probe_offsets(mask)) == n
 
 
 def test_undefined_never_for_reachable_key():
