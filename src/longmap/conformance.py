@@ -1,15 +1,15 @@
 """Differential checking of FixedLongMap against the ListMap model.
 
-Provides the abstraction function to the model (``snapshot_model``), the
-equivalence check comparing its snapshot with a model, and a deterministic
-randomized trace runner that executes every operation on both the array
-map and its twin, a dict updated in place. After each op the map must
-match the ListMap of the dict's sorted entries and keep the class
-invariant: the full check decides that on the whole array, the delta step
-on the slots the op wrote, each of which must stay unchanged, go from free
-to the op's key or from that key to a tombstone. A divergence is reported
-with its op index and a minimized reproducing trace. Also the trace
-format, the number grammar all input shares, and ``ParseError``.
+Provides the abstraction function (``snapshot_model`` views it as the
+paper's ListMap), the equivalence check comparing it with a model dict,
+and a deterministic randomized trace runner that executes every operation
+on both the array map and its twin, a dict updated in place. After each op
+the map must stand for the dict and keep the class invariant: the full
+check decides that on the whole array, the delta step on the slots the op
+wrote, each of which must stay unchanged, go from free to the op's key or
+from that key to a tombstone. A divergence is reported with its op index
+and a minimized reproducing trace. Also the trace format, the number
+grammar all input shares, and ``ParseError``.
 """
 
 from __future__ import annotations
@@ -94,48 +94,54 @@ class TraceResult:
         return self.divergence is None
 
 
-def snapshot_model(m) -> ListMap:
-    """The abstraction function: the ListMap that the state of ``m`` stands for.
+def _abstraction(m) -> dict:
+    """The abstraction function: the map that the state of ``m`` stands for.
 
     Each valid key maps to the value in the first slot that holds it
     (``first_slots``, which matches folding recursively from the array end),
     and the sentinel pairs recorded in extra_keys are added.
     """
-    pairs = [(k, m.values[i]) for k, i in first_slots(m.keys).items()]
+    model = {k: m.values[i] for k, i in first_slots(m.keys).items()}
     if m.extra_keys & 1:
-        pairs.append((0, m.zero_value))
+        model[0] = m.zero_value
     if m.extra_keys & 2:
-        pairs.append((LONG_MIN, m.min_value))
-    return ListMap._from_sorted(tuple(sorted(pairs)))
+        model[LONG_MIN] = m.min_value
+    return model
 
 
-def equivalence_violation(m, model: ListMap) -> Optional[str]:
+def snapshot_model(m) -> ListMap:
+    """The paper's ListMap model that the state of ``m`` stands for."""
+    return ListMap._from_sorted(tuple(sorted(_abstraction(m).items())))
+
+
+def equivalence_violation(m, model: dict) -> Optional[str]:
     """First violated array/model equivalence condition, or None.
 
-    Refinement through the abstraction function: ``snapshot_model(m)`` must
-    equal ``model`` and fold no slot away, so the valid-key slots are as
-    many as its non-sentinel entries. That rules out a duplicated key and
-    implies every equivalence condition; only on a mismatch is the failed
-    condition worked out and named.
+    Refinement through the abstraction function: its dict must equal the
+    dict ``model`` and fold no slot away, so the valid-key slots are as many
+    as its non-sentinel entries. That rules out a duplicated key and implies
+    every equivalence condition. A ListMap is strictly key-ascending, so
+    this is ``snapshot_model(m)`` equal to the ListMap of ``model``. Only on
+    a mismatch is the failed condition named, walking keys in that order.
     """
-    snapshot = snapshot_model(m)
-    live = len(snapshot) - snapshot.contains(0) - snapshot.contains(LONG_MIN)
-    if snapshot == model and count_valid_keys(m.keys) == live:
+    abstraction = _abstraction(m)
+    live = len(abstraction) - (0 in abstraction) - (LONG_MIN in abstraction)
+    if abstraction == model and count_valid_keys(m.keys) == live:
         return None
 
     first = first_slots(m.keys)
-    for k, _ in model.items():
+    for k in sorted(model):
         if is_valid_key(k) and k not in first:
             return f"model key {k} does not occur in the key array"
     for i, k in enumerate(m.keys):
         if not is_valid_key(k):
             continue
-        if not model.contains(k):
+        if k not in model:
             return f"key {k} at index {i} is missing from the model"
-        if model.apply(k) != m.values[i]:
+        if model[k] != m.values[i]:
             return (
                 f"value mismatch for key {k} at index {i}: "
-                f"model {model.apply(k)} != array {m.values[i]}"
+                f"model {model[k]} != array {m.values[i]}"
             )
         if first[k] != i:
             return f"key {k} duplicated at indexes {first[k]} and {i}"
@@ -359,13 +365,12 @@ def run_trace(
     match the model and the map must satisfy the class invariant. The model
     twin is a dict, updated in place. An op is verified by the slots a
     write journal on the map's arrays names, against the last state the
-    full check (``equivalence_violation`` on the ListMap of the dict's
-    sorted entries, then ``check_invariant``) accepted; the full check runs
-    on the first op, after growth and whenever that does not settle it, and
-    it alone words a divergence. A map op that raises is a divergence as
-    well. The first divergence stops the run; with ``shrink`` a minimized
-    reproducing trace is attached to the result. The final map holds plain
-    arrays again.
+    full check (``equivalence_violation`` on the dict, then
+    ``check_invariant``) accepted; the full check runs on the first op,
+    after growth and whenever that does not settle it, and it alone words
+    a divergence. A map op that raises is a divergence as well. The first
+    divergence stops the run; with ``shrink`` a minimized reproducing trace
+    is attached to the result. The final map holds plain arrays again.
     """
     ops = list(ops)
     if map_factory is None:
@@ -387,7 +392,7 @@ def run_trace(
         if msg is None:
             eq_checks += 1
             if verified is None or not verified.accepts(m, model, op.key):
-                eq = equivalence_violation(m, ListMap._from_sorted(tuple(sorted(model.items()))))
+                eq = equivalence_violation(m, model)
                 if eq is not None:
                     msg = f"snapshot != model: {eq}"
                 elif not (report := check_invariant(m)).valid:

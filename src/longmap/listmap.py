@@ -4,15 +4,15 @@ Entries are kept as a tuple of (key, value) pairs with keys strictly
 increasing under signed 64-bit order, so structural equality coincides with
 map equality. Operations return new maps; instances are never mutated.
 
-Deliberately simple rather than fast: this is the specification-side twin
-that the array map is checked against.
+Deliberately simple rather than fast: this is the paper's specification,
+whose lemmas the tests check; the checker's twin is a dict.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 _key_of = itemgetter(0)
 
@@ -76,12 +76,6 @@ class ListMap:
 
     def keys(self) -> tuple:
         return tuple(k for k, _ in self._entries)
-
-    def __contains__(self, key: int) -> bool:
-        return self.contains(key)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

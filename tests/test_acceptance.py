@@ -29,9 +29,7 @@ from longmap.conformance import FuzzConfig, TraceOp, generate_trace
 from longmap.invariants import check
 
 from hash_oracle import to_index_oracle
-from test_growable import fill_colliding, growth_watched, tombstone_free_capacity
-from test_hash import FIXED_KEYS
-from test_seek import probe_violation
+from support import FIXED_KEYS, agreement_arrays, fill_colliding, growth_watched, probe_violation, tombstone_free_capacity
 
 FUZZ_EXPONENTS = (0, 1, 2, 4, 6, 8, 10)
 OPS_PER_EXPONENT = 15_000
@@ -85,35 +83,6 @@ def fuzz_corpus():
             )
             results[exp] = run_fuzz(cfg)
     return {"results": results, "audit": stats, "elapsed": time.perf_counter() - started}
-
-
-def agreement_arrays(count):
-    """The first ``count`` arrays of the criterion-6 corpus, each built
-    through map ops and yielded as ``(map, keys to probe in it)``."""
-    rng = random.Random(66066)
-    for arrays in range(1, count + 1):
-        mask = (1 << ((arrays - 1) % 7)) - 1
-        m = FixedLongMap(mask)
-        pool = []
-        pool_set = set()
-        while len(pool) < 2 * (mask + 1):
-            k = rng.getrandbits(64) - (1 << 63)
-            if is_valid_key(k) and k not in pool_set:
-                pool_set.add(k)
-                pool.append(k)
-        for _ in range(min(2 * (mask + 1), 48)):
-            k = pool[rng.randrange(len(pool))]
-            if rng.random() < 0.6:
-                m.update(k, rng.getrandbits(64) - (1 << 63))
-            else:
-                m.remove(k)
-        probes = pool[: min(len(pool), 6)]
-        while True:
-            fresh = rng.getrandbits(64) - (1 << 63)
-            if is_valid_key(fresh) and fresh not in pool_set:
-                probes.append(fresh)
-                break
-        yield m, probes
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Conformance apparatus: snapshots, equivalence, trace runner, shrinking."""
 
 import copy
+import hashlib
 import random
 from array import array
 from itertools import product
@@ -33,8 +34,7 @@ from longmap.conformance import (
     generate_trace,
     parse_trace,
 )
-from test_growable import colliding_keys
-from test_seek import probe_violation
+from support import colliding_keys, probe_violation
 
 
 def fold_snapshot(m) -> ListMap:
@@ -56,11 +56,6 @@ def fold_snapshot(m) -> ListMap:
     if m.extra_keys & 2:
         return model.insert(LONG_MIN, m.min_value)
     return model
-
-
-def as_listmap(model: dict) -> ListMap:
-    """The ListMap of a model dict's entries, built by ``insert``."""
-    return ListMap(model.items())
 
 
 def build_map(mask, ops_count, seed, pool=None):
@@ -111,13 +106,13 @@ def test_snapshot_matches_literal_fold():
 def test_equivalence_on_reachable_states():
     for seed in (3, 4, 5):
         m, _ = build_map(15, 200, seed)
-        assert equivalence_violation(m, snapshot_model(m)) is None
-    assert equivalence_violation(FixedLongMap(0), ListMap.empty()) is None
+        assert equivalence_violation(m, dict(snapshot_model(m).items())) is None
+    assert equivalence_violation(FixedLongMap(0), {}) is None
 
 
 def test_equivalence_detects_value_flipped_after_snapshot():
     m, _ = build_map(15, 60, seed=8)
-    snap = snapshot_model(m)
+    snap = dict(snapshot_model(m).items())
     idx = next(i for i, k in enumerate(m.keys) if is_valid_key(k))
     m.values[idx] ^= 1
     msg = equivalence_violation(m, snap)
@@ -128,7 +123,7 @@ def test_equivalence_detects_key_erased_after_snapshot():
     m = FixedLongMap(15)
     m.update(5, 50)
     m.update(9, 90)
-    snap = snapshot_model(m)
+    snap = dict(snapshot_model(m).items())
     i = next(i for i, k in enumerate(m.keys) if k == 9)
     m.keys[i] = 0
     msg = equivalence_violation(m, snap)
@@ -145,7 +140,7 @@ def test_equivalence_witness_for_hidden_key():
     j = (i + 1) & 15
     m.keys[j] = 5
     m.values[j] = 51
-    msg = equivalence_violation(m, snapshot_model(m))
+    msg = equivalence_violation(m, dict(snapshot_model(m).items()))
     assert msg is not None and "5" in msg
 
 
@@ -153,13 +148,13 @@ def test_equivalence_detects_duplicate_with_equal_value():
     # The first-wins snapshot folds the copy away and every index agrees
     # with it on the value; only the duplicate itself is wrong.
     m = FixedLongMap.unchecked(3, [5, 5, 0, 0], [1, 1, 0, 0], 2, 0, 0, 0, 0)
-    assert equivalence_violation(m, snapshot_model(m)) == "key 5 duplicated at indexes 0 and 1"
+    assert equivalence_violation(m, dict(snapshot_model(m).items())) == "key 5 duplicated at indexes 0 and 1"
 
 
 @pytest.mark.parametrize("extra_keys, zero_value", [(0, 0), (1, 8), (3, 7)])
 def test_equivalence_detects_sentinel_mismatch(extra_keys, zero_value):
     m = FixedLongMap.unchecked(3, [5, 0, 0, 0], [1, 0, 0, 0], 1, 0, extra_keys, zero_value, 9)
-    model = ListMap([(5, 1), (0, 7)])
+    model = {5: 1, 0: 7}
     msg = equivalence_violation(m, model)
     assert msg is not None and msg.startswith("sentinel fields")
 
@@ -172,15 +167,19 @@ def sorted_pairs_rule(m, model) -> bool:
         pairs.append((0, m.zero_value))
     if m.extra_keys & 2:
         pairs.append((LONG_MIN, m.min_value))
-    return tuple(sorted(pairs)) == model.items()
+    return tuple(sorted(pairs)) == tuple(sorted(model.items()))
 
 
 def test_equivalence_is_the_sorted_pairs_rule_on_random_states():
     # Masks 0..7 over four keys and both sentinels, duplicates allowed, so
     # folded-away slots, corrupt extra_keys and near-miss models all occur.
+    # Each model is a dict in shuffled insertion order; one SHA-256 over
+    # every verdict pins each message's text and so the diagnosis's
+    # ascending key order, whatever order the dict was built in.
     rng = random.Random(19)
     pool = [rng.getrandbits(64) - (1 << 63) for _ in range(4)] + [0, LONG_MIN]
     agreed = 0
+    verdicts = hashlib.sha256()
     for _ in range(20_000):
         mask = rng.choice((0, 1, 3, 7))
         keys = [rng.choice(pool) for _ in range(mask + 1)]
@@ -194,11 +193,16 @@ def test_equivalence_is_the_sorted_pairs_rule_on_random_states():
             model = fold_snapshot(m).insert(k, rng.randrange(3)) if rng.random() < 0.5 else fold_snapshot(m).remove(k)
         else:
             model = ListMap((rng.choice(pool), rng.randrange(3)) for _ in range(rng.randrange(6)))
+        entries = list(model.items())
+        rng.shuffle(entries)
+        model = dict(entries)
         assert snapshot_model(m) == fold_snapshot(m)
         verdict = equivalence_violation(m, model)
         assert (verdict is None) == sorted_pairs_rule(m, model), (keys, values, m.extra_keys, model, verdict)
+        verdicts.update(repr(verdict).encode() + b"\n")
         agreed += verdict is None
     assert 2_000 < agreed < 18_000
+    assert verdicts.hexdigest()[:16] == "65c526c90efa5ab3"
 
 
 def test_run_trace_deterministic_generation():
@@ -218,6 +222,15 @@ def test_run_fuzz_mask_255_clean():
     res = run_fuzz(FuzzConfig(seed=255, op_count=4000, mask_exponent=8))
     assert res.ok, res.divergence
     assert res.equivalence_checks == 4000
+
+
+def test_unknown_op_kind_is_a_divergence():
+    # Neither parse_trace nor generate_trace makes such an op; a hand-built
+    # TraceOp is the only way in.
+    res = run_trace([TraceOp("U", 1, 2), TraceOp("X", 1)], 7, shrink=False)
+    assert res.divergence.op_index == 1
+    assert res.divergence.message == "unknown op kind 'X'"
+    assert res.counts["X"] == 1
 
 
 def test_trace_capacity_exhaustion():
@@ -667,13 +680,13 @@ def test_delta_step_accepts_only_equivalent_states(monkeypatch):
             if forked:
                 corrupted(rng, t, after, op.key, pool)
             accepted = state is not None and state.accepts(t, after, op.key)
-            if accepted and (equivalence_violation(t, as_listmap(after)) is not None or not check(t).valid):
+            if accepted and (equivalence_violation(t, after) is not None or not check(t).valid):
                 unsound.append((mask, op, list(t.keys), list(t.values), sorted(after.items())))
             if forked:
                 forks[accepted] += 1
                 continue
             if not accepted:
-                assert equivalence_violation(m, as_listmap(model)) is None and check(m).valid
+                assert equivalence_violation(m, model) is None and check(m).valid
                 verified = conformance._VerifiedState(m)
     assert unsound == []
     assert min(forks.values()) > 100
@@ -819,7 +832,7 @@ def test_delta_step_is_exact_on_one_extra_write_at_small_masks():
                         forks[accepted] += 1
                         if accepted:
                             where = (state, op, i, k, change)
-                            assert equivalence_violation(t, as_listmap(t_after)) is None, where
+                            assert equivalence_violation(t, t_after) is None, where
                             assert check(t).valid, where
             frontier = reached
         states += len(seen)

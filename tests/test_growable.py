@@ -1,8 +1,6 @@
 """Growable map: trigger arithmetic, model preservation, the ceiling."""
 
-import faulthandler
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -11,88 +9,9 @@ import longmap.core as core
 import longmap.growable as growable
 from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model, to_index
 from longmap.core import UNDEFINED
-from longmap.conformance import FuzzConfig, _rejection_violation, generate_trace
+from longmap.conformance import FuzzConfig, generate_trace
 from longmap.invariants import check
-
-
-def colliding_keys(n, h=0x2545F491):
-    """``n`` distinct keys ``(c << 32) | (h ^ c)``: ``to_index`` folds each to
-    the 32-bit hash ``h`` first, so they share their home slot and whole
-    probe path at every capacity and the n-th sits n - 1 probes deep."""
-    return [(c << 32) | (h ^ c) for c in range(1, n + 1)]
-
-
-def fill_colliding(n):
-    """A growable map from mask 1 after ``update(k, k)`` of ``colliding_keys(n)``,
-    and the keys it refused, each refusal checked against the probe budget.
-
-    The capacity ceiling is patched to 2**18 for the call: without a bound on
-    growth these keys would take the map to 2**30 slots, two 8 GiB arrays.
-    """
-    ceiling = growable.MAX_MASK_EXPONENT
-    growable.MAX_MASK_EXPONENT = 18
-    try:
-        g = GrowableLongMap(1)
-        refused = []
-        for k in colliding_keys(n):
-            if not g.update(k, k):
-                assert _rejection_violation(g, "update", k) is None
-                refused.append(k)
-        assert snapshot_model(g).items() == tuple((k, k) for k in colliding_keys(n) if k not in refused)
-        return g, refused
-    finally:
-        growable.MAX_MASK_EXPONENT = ceiling
-
-
-def tombstone_free_capacity(n):
-    """Smallest capacity, at least 2, whose half holds ``n`` keys."""
-    c = 2
-    while 2 * n > c:
-        c *= 2
-    return c
-
-
-@contextmanager
-def hang_guard(seconds=60):
-    """End the whole run, exit status 1, if the block takes longer than
-    ``seconds``: a defect that loops forever fails the run instead of
-    stalling it. The stack dump goes to stderr, which pytest captures and
-    loses on that exit; run with ``-s`` to see it."""
-    faulthandler.dump_traceback_later(seconds, exit=True)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-
-
-@contextmanager
-def growth_watched(on_grow):
-    """Wrap ``GrowableLongMap._rebuild`` for the length of the block so that
-    every rebuild of any growable map, growing or in place, calls
-    ``on_grow(old, new)`` with a copy of the map from before it and the map
-    itself after it."""
-    rebuild = GrowableLongMap._rebuild
-
-    def watched(self, mask):
-        old = FixedLongMap.unchecked(
-            self.mask,
-            self.keys,
-            self.values,
-            self.array_size,
-            self.tombstones,
-            self.extra_keys,
-            self.zero_value,
-            self.min_value,
-            self.default_entry,
-        )
-        rebuild(self, mask)
-        on_grow(old, self)
-
-    GrowableLongMap._rebuild = watched
-    try:
-        yield
-    finally:
-        GrowableLongMap._rebuild = rebuild
+from support import colliding_keys, fill_colliding, growth_watched, hang_guard, tombstone_free_capacity
 
 
 def test_third_distinct_key_triggers_growth():

@@ -5,43 +5,9 @@ from hypothesis import given, strategies as st
 from longmap import LONG_MAX, LONG_MIN, next_probe, to_index
 
 from hash_oracle import to_index_oracle
+from support import FIXED_KEYS
 
 MASK_EXPONENTS = (0, 4, 10, 30)
-
-# 64 fixed keys: sentinels, boundary values, powers of two in both signs,
-# all-ones patterns and assorted constants.
-FIXED_KEYS = (
-    [0, 1, -1, LONG_MIN, LONG_MAX]
-    + [1 << i for i in (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 31, 32, 33, 42, 47, 52, 62)]
-    + [-(1 << i) for i in (1, 2, 4, 8, 16, 31, 32, 48, 62)]
-    + [(1 << i) - 1 for i in (4, 8, 16, 32, 33, 48)]
-    + [-(1 << i) + 1 for i in (8, 16, 32, 63)]
-    + [
-        -1000003,
-        7,
-        -7,
-        42,
-        -42,
-        123456789,
-        -123456789,
-        1000003,
-        0x5DEECE66D,
-        0x85EBCA6B,
-        0xC2B2AE35,
-        0x0123456789ABCDEF,
-        -0x0123456789ABCDEF,
-        0x7FFFFFFF00000001,
-        -987654321987654321,
-        4611686018427387907,
-        -4611686018427387907,
-        3141592653589793238,
-        -2718281828459045235,
-        0x4000000000000001,
-        -0x4000000000000001,
-        999999999999999989,
-        -999999999999999989,
-    ]
-)
 
 # Spot anchors computed from the oracle alone, frozen here so the oracle and
 # the implementation cannot drift together unnoticed.

@@ -24,9 +24,7 @@ import pytest
 from mutants import BUDGET_MUTANT, MUTANTS, applied
 from longmap.conformance import FuzzConfig, TraceOp, generate_trace, run_trace
 from longmap.invariants import check
-from test_acceptance import agreement_arrays
-from test_growable import colliding_keys, hang_guard
-from test_seek import probe_violation
+from support import agreement_arrays, colliding_keys, hang_guard, probe_violation
 
 EXPONENTS = (3, 6, 10)
 

@@ -1,14 +1,15 @@
 """Probe-loop semantics: both seek phases of the paper, the 2048 cap, and
-the two-phase reference walk that criterion 6 checks the loop against."""
+agreement with the two-phase reference walk that criterion 6 checks the
+loop against."""
 
 import random
 
 import pytest
 
-import longmap.core as core
 from longmap import LONG_MIN, MAX_PROBES, FixedLongMap, next_probe, to_index
 from longmap.core import FOUND, MAX_MASK_EXPONENT, MISSING_VACANT, MISSING_ZERO, UNDEFINED, _probe
 from longmap.invariants import _probe_offsets
+from support import two_phase_probe
 
 K = 741776177  # arbitrary valid key
 
@@ -133,59 +134,6 @@ def test_undefined_never_for_reachable_key():
         keys[j] = K
         kind, index, _ = _probe(K, keys, 3)
         assert (kind, index) == (FOUND, j)
-
-
-def two_phase_probe(k, keys, mask):
-    """The paper's seek, phase by phase, as (kind, index, iterations).
-
-    seekKeyOrZeroOrMin walks from the home slot to the first slot holding
-    ``k``, 0 or LONG_MIN; past a tombstone, seekKeyOrZeroReturnVacant walks
-    on to ``k`` or 0 and remembers the tombstone. Both phases count against
-    one MAX_PROBES budget.
-    """
-    x, e = 0, to_index(k, mask)
-    while x < MAX_PROBES:
-        q = keys[e]
-        if q == k or q == 0 or q == LONG_MIN:
-            break
-        x += 1
-        e = next_probe(e, x, mask)
-    else:
-        return UNDEFINED, -1, x
-    if keys[e] == k:
-        return FOUND, e, x
-    if keys[e] == 0:
-        return MISSING_ZERO, e, x
-    vacant = e
-    while x < MAX_PROBES:
-        q = keys[e]
-        if q == k:
-            return FOUND, e, x
-        if q == 0:
-            return MISSING_VACANT, vacant, x
-        x += 1
-        e = next_probe(e, x, mask)
-    return UNDEFINED, -1, x
-
-
-def probe_violation(keys, mask, k):
-    """Why ``core._probe`` is wrong for ``k`` on ``keys``, or None.
-
-    Criterion 6's check: one call of the loop must equal the two-phase
-    reference, the slot it names must hold ``k``, 0 or LONG_MIN as its
-    kind says, and on any miss ``k`` must be absent from the array.
-    """
-    got = core._probe(k, keys, mask)  # through the module, for the auditor
-    want = two_phase_probe(k, keys, mask)
-    if got != want:
-        return f"_probe({k}) = {got}, two-phase reference {want}"
-    kind, i, _ = got
-    held = {FOUND: k, MISSING_ZERO: 0, MISSING_VACANT: LONG_MIN}
-    if kind in held and keys[i] != held[kind]:
-        return f"_probe({k}) = {got} but slot {i} holds {keys[i]}"
-    if kind != FOUND and k in keys:
-        return f"_probe({k}) = {got} but the key is in the array"
-    return None
 
 
 def test_probe_matches_two_phase_reference():
