@@ -83,7 +83,10 @@ def parse_state(text: str) -> FixedLongMap:
 
 
 def _int_flag(text: str, what: str = "value", lo: int = LONG_MIN, hi: int = LONG_MAX) -> int:
-    """A decimal flag read as the file formats read numbers; argparse exits 2 on a bad one."""
+    """A decimal flag read as the file formats read numbers, whitespace-free
+    tokens, though ``int`` strips whitespace; argparse exits 2 on a bad one."""
+    if text != text.strip():
+        raise argparse.ArgumentTypeError(f"{what} is not a signed decimal: {text!r}")
     try:
         return parse_int(text, 0, what, lo, hi)
     except ParseError as exc:
@@ -91,8 +94,9 @@ def _int_flag(text: str, what: str = "value", lo: int = LONG_MIN, hi: int = LONG
 
 
 def _fraction(text: str, flag: str) -> float:
-    """A fractional flag, refusing the ``_`` and non-ASCII digits that ``float`` takes."""
-    if "_" not in text and text.isascii():
+    """A fractional flag, refusing the ``_``, non-ASCII digits and surrounding
+    whitespace that ``float`` takes."""
+    if "_" not in text and text.isascii() and text == text.strip():
         with contextlib.suppress(ValueError):
             return float(text)
     raise ValueError(f"{flag} is not a decimal fraction: {text!r}")

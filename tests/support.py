@@ -1,7 +1,7 @@
 """Helpers that several test modules share: key pools that collide on one
-probe path, growth watching, the hang guard, the two-phase reference probe
-and criterion 6's corpus. Test modules import from here, never from each
-other."""
+probe path, growth watching, the hang guard, a map that drops removes, the
+two-phase reference probe and criterion 6's corpus. Test modules import
+from here, never from each other."""
 
 import faulthandler
 import random
@@ -137,6 +137,16 @@ def growth_watched(on_grow):
         yield
     finally:
         GrowableLongMap._rebuild = rebuild
+
+
+class DroppedRemoveMap(FixedLongMap):
+    """Fault injection: reports removing a stored key but keeps it, so a
+    checked run diverges."""
+
+    def remove(self, key):
+        if is_valid_key(key) and self.contains(key):
+            return True
+        return super().remove(key)
 
 
 def two_phase_probe(k, keys, mask):

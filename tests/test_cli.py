@@ -8,11 +8,12 @@ import sys
 import pytest
 
 import longmap
-from longmap import FixedLongMap, is_valid_key, to_index
+from longmap import FixedLongMap, to_index
 import longmap.cli as cli
 from longmap.cli import dump_state, main, parse_state
 from longmap.conformance import ParseError, read_ascii
 from mutants import MUTANTS, applied
+from support import DroppedRemoveMap
 
 
 def run_cli(capsys, *argv):
@@ -51,10 +52,12 @@ def test_fuzz_rejects_mask_exponent_31(capsys):
         ["fuzz", "--mask-exp", "3", "--pool", "1_6"],
         ["fuzz", "--mask-exp", "\u0663"],
         ["bench", "--mask-exp", "4", "--ops-per-level", "1_0"],
+        ["fuzz", "--mask-exp", "3", "--ops", "10", "--seed", " 7"],
     ],
 )
 def test_integer_flags_refuse_what_the_file_formats_refuse(capsys, argv):
-    # int() takes digit separators and non-ASCII digits; the flags do not.
+    # int() takes digit separators, non-ASCII digits and surrounding
+    # whitespace; the flags do not.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -70,11 +73,12 @@ def test_integer_flags_refuse_what_the_file_formats_refuse(capsys, argv):
         ["bench", "--mask-exp", "4", "--levels", "\u0660.\u0665"],
         ["bench", "--mask-exp", "4", "--levels", "0.1,,0.5"],
         ["fuzz", "--mask-exp", "3", "--ops", "10", "--sentinel-weight", "0.0_5"],
+        ["bench", "--mask-exp", "4", "--levels", " 0.5"],
     ],
 )
 def test_fractional_flags_refuse_what_the_integer_flags_refuse(capsys, argv):
-    # float() takes digit separators and non-ASCII digits; the flags do not,
-    # and an empty --levels item is not dropped.
+    # float() takes digit separators, non-ASCII digits and surrounding
+    # whitespace; the flags do not, and an empty --levels item is not dropped.
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     err = err.splitlines()
@@ -386,6 +390,13 @@ def test_bench_rejects_bad_levels(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "bench", "--mask-exp", "4", "--ops-per-level", "0")
     assert code == 2
+    # The flag parsers refuse these first; run_bench refuses them too.
+    from longmap.bench import run_bench
+
+    with pytest.raises(ValueError, match="at least one occupancy level"):
+        run_bench(4, [], 10)
+    with pytest.raises(ValueError, match="mask_exponent outside"):
+        run_bench(31, [0.5], 10)
 
 
 def test_bench_growable_stays_under_threshold(capsys):
@@ -399,15 +410,6 @@ def test_bench_growable_stays_under_threshold(capsys):
         parts = line.split()
         if parts and parts[0] in ("0.250", "0.700", "0.900"):
             assert float(parts[1]) <= 0.5
-
-
-class DroppedRemoveMap(FixedLongMap):
-    """Reports removing a stored key but keeps it, so a fuzz run diverges."""
-
-    def remove(self, key):
-        if is_valid_key(key) and self.contains(key):
-            return True
-        return super().remove(key)
 
 
 @pytest.fixture

@@ -7,9 +7,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import longmap.core as core
 import longmap.growable as growable
-from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, run_trace, snapshot_model, to_index
+from longmap import LONG_MIN, FixedLongMap, GrowableLongMap, snapshot_model, to_index
 from longmap.core import UNDEFINED
-from longmap.conformance import FuzzConfig, generate_trace
 from longmap.invariants import check
 from support import colliding_keys, fill_colliding, growth_watched, hang_guard, tombstone_free_capacity
 
@@ -58,25 +57,6 @@ def test_sentinel_workload_never_grows():
     assert g.capacity == 2
 
 
-def test_growth_preserves_model_and_seekability():
-    rng = random.Random(17)
-    snapshots = []
-
-    def on_grow(old, new):
-        snapshots.append((snapshot_model(old), snapshot_model(new)))
-
-    g = GrowableLongMap(1)
-    with growth_watched(on_grow):
-        for _ in range(300):
-            k = rng.getrandbits(64) - (1 << 63)
-            g.update(k, rng.getrandbits(64) - (1 << 63))
-    assert g.growth_count >= 5
-    assert len(snapshots) == g.growth_count
-    for before, after in snapshots:
-        assert before == after
-    assert check(g).valid
-
-
 def slot_order_fill(old, mask):
     """A fresh map of ``mask + 1`` slots that received ``old``'s live array
     pairs by ``update`` in ``old``'s slot order, then its sentinel pairs."""
@@ -89,43 +69,6 @@ def slot_order_fill(old, mask):
     if old.extra_keys & 2:
         fresh.update(LONG_MIN, old.min_value)
     return fresh
-
-
-def test_growth_lays_out_pairs_in_old_slot_order():
-    # Growth reinserts the old map's pairs in the old arrays' slot order, so
-    # the new arrays match a fresh map filled in that order, whatever
-    # tombstones and sentinels the old map held. Some of these layouts
-    # differ from a fill in ascending key order, so the two rules part.
-    rng = random.Random(29)
-    grown = []
-
-    def on_grow(old, new):
-        fresh = slot_order_fill(old, new.mask)
-        assert new.keys == fresh.keys
-        assert new.values == fresh.values
-        assert (new.extra_keys, new.zero_value, new.min_value) == (
-            fresh.extra_keys,
-            fresh.zero_value,
-            fresh.min_value,
-        )
-        by_key = FixedLongMap(new.mask)
-        for k, v in snapshot_model(old).items():
-            by_key.update(k, v)
-        grown.append((LONG_MIN in old.keys, old.extra_keys, by_key.keys != new.keys))
-
-    g = GrowableLongMap(1)
-    pool = [rng.getrandbits(64) - (1 << 63) for _ in range(400)] + [0, LONG_MIN]
-    with growth_watched(on_grow):
-        for i in range(3000):
-            k = pool[rng.randrange(len(pool))]
-            if rng.random() < 0.7:
-                g.update(k, i)
-            else:
-                g.remove(k)
-    assert len(grown) == g.growth_count >= 8
-    assert any(tombstones for tombstones, _, _ in grown)
-    assert any(extra == 3 for _, extra, _ in grown)
-    assert any(differs for _, _, differs in grown)
 
 
 def random_keys(seed, n):
@@ -265,14 +208,28 @@ def test_rebuild_is_a_fresh_fill_in_old_slot_order(exp, pool, history):
 
 
 def test_rebuild_histories_reach_every_kind_of_rebuild():
-    # Histories drawn as the property test draws them reach all three kinds.
+    # Histories drawn as the property test draws them reach all three kinds,
+    # rebuilds of maps with tombstones and with both sentinels, and layouts
+    # where a fill in ascending key order would part from the slot-order fill.
     seen = set()
-    for seed in range(20):
-        rng = random.Random(seed)
-        pool = random_keys(seed, 16) + colliding_keys(3) + [0, LONG_MIN]
-        steps = [rng.randrange(32 * len(STEPS)) for _ in range(150)]
-        seen.update(rebuild_history(rng.randrange(1, 7), pool, steps))
+    rebuilt = []
+
+    def on_grow(old, new):
+        by_key = FixedLongMap(new.mask)
+        for k, v in snapshot_model(old).items():
+            by_key.update(k, v)
+        rebuilt.append((LONG_MIN in old.keys, old.extra_keys, by_key.keys != new.keys))
+
+    with growth_watched(on_grow):
+        for seed in range(20):
+            rng = random.Random(seed)
+            pool = random_keys(seed, 16) + colliding_keys(3) + [0, LONG_MIN]
+            steps = [rng.randrange(32 * len(STEPS)) for _ in range(150)]
+            seen.update(rebuild_history(rng.randrange(1, 7), pool, steps))
     assert seen == {"repack", "double", MISS}
+    assert any(tombstones for tombstones, _, _ in rebuilt)
+    assert any(extra == 3 for _, extra, _ in rebuilt)
+    assert any(differs for _, _, differs in rebuilt)
 
 
 def test_occupancy_bounded_after_updates():
@@ -405,14 +362,6 @@ def test_remove_never_shrinks():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         GrowableLongMap(2)
-
-
-def test_growable_fuzz_trace_clean():
-    cfg = FuzzConfig(seed=404, op_count=2500, mask_exponent=5)
-    mask, ops = generate_trace(cfg)
-    res = run_trace(ops, mask, map_factory=lambda m, de: GrowableLongMap(1, de))
-    assert res.ok, res.divergence
-    assert res.final_map.growth_count >= 1
 
 
 def test_colliding_keys_share_every_probe_path():
